@@ -15,7 +15,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+import typing
+from dataclasses import fields, replace
+from enum import Enum
 from pathlib import Path
 
 from . import __version__
@@ -39,41 +41,10 @@ _SWEEP_HEADER = "x_center,iou,huber,squared,iou_loss,smooth_iou"
 _TRAJECTORY_HEADER = "step,loss,mean_iou"
 _SUMMARY_HEADER = "loss_kind,mean_final_iou,stddev_final_iou,mean_initial_iou"
 
-_FIT_DEFAULTS: dict = {
-    "num_pairs": 50,
-    "frame": [0.0, 0.0, 100.0, 100.0],
-    "target_size_min": 5.0,
-    "target_size_max": 20.0,
-    "translation_sigma": 0.3,
-    "scale_sigma": 0.1,
-    "regime": "mixed",
-    "loss": "smooth_iou",
-    "delta": 1.0,
-    "optimizer": "rmsprop_like",
-    "learning_rate": 0.05,
-    "momentum_or_decay": 0.9,
-    "steps": 500,
-    "seed": None,
-    "batch_size": None,
-}
-
-_FILE_KEYS = {
-    "num_pairs": int,
-    "target_size_min": float,
-    "target_size_max": float,
-    "translation_sigma": float,
-    "scale_sigma": float,
-    "regime": str,
-    "loss": str,
-    "delta": float,
-    "optimizer": str,
-    "learning_rate": float,
-    "momentum_or_decay": float,
-    "steps": int,
-    "seed": int,
-    "batch_size": int,
-    "frame": lambda s: [float(part) for part in s.split(",")],
-}
+# Config-file and manifest key of each FitConfig field: the field's name,
+# except that loss_kind is spelled `loss`, like its flag.
+_FIT_FIELDS = {("loss" if f.name == "loss_kind" else f.name): f for f in fields(FitConfig)}
+_FIT_TYPES = typing.get_type_hints(FitConfig)
 
 
 def _fmt(value: float) -> str:
@@ -115,7 +86,7 @@ def _write_manifest(
         fh.write("\n")
 
 
-def _resolve_seed(flag_value, file_value=None, default: int = 0) -> int:
+def _resolve_seed(flag_value, file_value, default: int) -> int:
     """Priority: explicit flag, then config file, then the env var, then default."""
     if flag_value is not None:
         return flag_value
@@ -179,30 +150,28 @@ def _cmd_profile(args, parser) -> int:
 
 
 def _cmd_gradcheck(args, parser) -> int:
-    if not 1e-7 <= args.step <= 1e-3:
-        parser.error(f"--step must lie in [1e-7, 1e-3], got {args.step}")
-    if args.tol <= 0:
-        parser.error(f"--tol must be positive, got {args.tol}")
-    if args.samples < 1:
-        parser.error(f"--samples must be >= 1, got {args.samples}")
     try:
-        seed = _resolve_seed(args.seed)
+        seed = _resolve_seed(args.seed, None, GradCheckConfig.seed)
     except ValueError:
         parser.error(f"{_ENV_SEED} must be an integer")
 
     kinds = list(LossKind) if args.loss == "all" else [LossKind(args.loss)]
-    config = GradCheckConfig(num_samples=args.samples, regime=args.regime, seed=seed)
     failed = False
-    for kind in kinds:
-        result = finite_diff_check(kind, config, tolerance=args.tol, step=args.step)
-        ok = result.max_relative_error <= args.tol
-        failed = failed or not ok
-        print(
-            f"{kind.value}: max_relative_error={result.max_relative_error:.6e} "
-            f"checked={result.num_points_checked} "
-            f"skipped_near_kink={result.num_skipped_near_kink} "
-            f"{'PASS' if ok else 'FAIL'}"
-        )
+    # GradCheckConfig and the first check validate --samples, --step and --tol.
+    try:
+        config = GradCheckConfig(num_samples=args.samples, regime=args.regime, seed=seed)
+        for kind in kinds:
+            result = finite_diff_check(kind, config, tolerance=args.tol, step=args.step)
+            ok = result.max_relative_error <= args.tol
+            failed = failed or not ok
+            print(
+                f"{kind.value}: max_relative_error={result.max_relative_error:.6e} "
+                f"checked={result.num_points_checked} "
+                f"skipped_near_kink={result.num_skipped_near_kink} "
+                f"{'PASS' if ok else 'FAIL'}"
+            )
+    except ValueError as exc:
+        parser.error(str(exc))
     return 3 if failed else 0
 
 
@@ -210,24 +179,20 @@ def _cmd_gradcheck(args, parser) -> int:
 # fit
 
 
+def _plain(value):
+    """A FitConfig value as config dicts and manifests hold it."""
+    if isinstance(value, Box):
+        return list(value.corners())
+    if isinstance(value, Enum):
+        return value.value
+    return value
+
+
 def _fit_config_from_dict(cfg: dict) -> FitConfig:
-    return FitConfig(
-        num_pairs=cfg["num_pairs"],
-        frame=Box(*cfg["frame"]),
-        target_size_min=cfg["target_size_min"],
-        target_size_max=cfg["target_size_max"],
-        translation_sigma=cfg["translation_sigma"],
-        scale_sigma=cfg["scale_sigma"],
-        regime=OverlapRegime(cfg["regime"]),
-        loss_kind=LossKind(cfg["loss"]),
-        delta=cfg["delta"],
-        optimizer=OptimizerKind(cfg["optimizer"]),
-        learning_rate=cfg["learning_rate"],
-        momentum_or_decay=cfg["momentum_or_decay"],
-        steps=cfg["steps"],
-        seed=cfg["seed"],
-        batch_size=cfg["batch_size"],
-    )
+    # Enum fields stay strings here; FitConfig converts and validates them.
+    values = {f.name: cfg[key] for key, f in _FIT_FIELDS.items()}
+    values["frame"] = Box(*values["frame"])
+    return FitConfig(**values)
 
 
 def _execute_fit(cfg: dict) -> list[str]:
@@ -263,8 +228,20 @@ def _execute_fit(cfg: dict) -> list[str]:
     return outputs
 
 
+def _parse_value(hint: type, text: str):
+    """A FitConfig value of type `hint` from text, as config dicts hold it."""
+    if hint is Box:
+        return [float(part) for part in text.split(",")]
+    if issubclass(hint, Enum):
+        return text
+    return hint(text)
+
+
 def _read_config_file(path: str) -> dict:
-    """Flat `key = value` lines; '#' starts a comment; keys mirror fit flags."""
+    """Flat `key = value` lines; '#' starts a comment.
+
+    Keys are FitConfig field names, with loss_kind spelled `loss`.
+    """
     values: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -275,17 +252,17 @@ def _read_config_file(path: str) -> dict:
             key, value = key.strip(), value.strip()
             if not sep or not key or not value:
                 raise ValueError(f"{path}:{lineno}: expected `key = value`")
-            if key not in _FILE_KEYS:
+            if key not in _FIT_FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = _FILE_KEYS[key](value)
+                values[key] = _parse_value(_FIT_TYPES[_FIT_FIELDS[key].name], value)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
 def _cmd_fit(args, parser) -> int:
-    cfg = dict(_FIT_DEFAULTS)
+    cfg = {key: _plain(f.default) for key, f in _FIT_FIELDS.items()}
     file_values: dict = {}
     if args.config is not None:
         try:
@@ -315,7 +292,7 @@ def _cmd_fit(args, parser) -> int:
             cfg[key] = value
     if args.frame is not None:
         try:
-            cfg["frame"] = [float(part) for part in args.frame.split(",")]
+            cfg["frame"] = _parse_value(Box, args.frame)
         except ValueError:
             parser.error(f"--frame expects xmin,ymin,xmax,ymax, got {args.frame!r}")
     if args.size_range is not None:
@@ -328,11 +305,12 @@ def _cmd_fit(args, parser) -> int:
         parser.error(f"frame needs exactly 4 coordinates, got {cfg['frame']!r}")
 
     try:
-        cfg["seed"] = _resolve_seed(args.seed, file_values.get("seed"))
+        cfg["seed"] = _resolve_seed(args.seed, file_values.get("seed"), FitConfig.seed)
     except ValueError:
         parser.error(f"{_ENV_SEED} must be an integer")
-    if cfg["batch_size"] is None:
-        cfg["batch_size"] = min(16, cfg["num_pairs"])
+    # Unless the file or a flag sets it, the batch size is capped at num_pairs.
+    if "batch_size" not in file_values and args.batch_size is None:
+        cfg["batch_size"] = min(cfg["batch_size"], cfg["num_pairs"])
 
     compare = None
     if args.compare is not None:
@@ -359,17 +337,31 @@ def _cmd_fit(args, parser) -> int:
 # rerun
 
 
+# The config keys each replayable command records, and its replay function.
+_REPLAY = {
+    "profile": (("out", "delta", "mismatch_scale", "samples", "deltas"), _execute_profile),
+    "fit": ((*_FIT_FIELDS, "compare", "num_seeds", "out"), _execute_fit),
+}
+
+
 def _cmd_rerun(args, parser) -> int:
     with open(args.manifest, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    command = manifest.get("command")
-    cfg = manifest.get("config")
-    if command == "profile":
-        _execute_profile(cfg)
-    elif command == "fit":
-        _execute_fit(cfg)
-    else:
+    if not isinstance(manifest, dict):
+        parser.error("manifest must be a JSON object")
+    command, cfg = manifest.get("command"), manifest.get("config")
+    if not isinstance(command, str) or command not in _REPLAY:
         parser.error(f"manifest has unknown command {command!r}")
+    keys, execute = _REPLAY[command]
+    if not isinstance(cfg, dict):
+        parser.error("manifest config must be a JSON object")
+    missing = [key for key in keys if key not in cfg]
+    if missing:
+        parser.error(f"manifest config lacks {', '.join(missing)}")
+    try:
+        execute(cfg)
+    except ValueError as exc:
+        parser.error(str(exc))
     return 0
 
 

@@ -18,8 +18,10 @@ from enum import Enum
 import numpy as np
 
 from .boxes import Box, BoxBatch, iou
-from .gradients import grad_huber, grad_iou_loss, grad_squared
-from .losses import HuberParams, LossKind, loss_batch
+# fit calls grad_huber and grad_iou_loss through _PAIR_GRAD; bench/worker.py's
+# traced run also replaces them here by name.
+from .gradients import _PAIR_GRAD, grad_huber, grad_iou_loss  # noqa: F401
+from .losses import HuberParams, LossKind, _blend_weight, loss_batch
 
 __all__ = [
     "OverlapRegime",
@@ -42,6 +44,9 @@ _RMSPROP_EPS = 1e-8
 
 
 class OverlapRegime(str, Enum):
+    """Which perturbed pairs generate_dataset keeps: IoU > 0, IoU = 0, or any;
+    a filter on IoU, unlike gradcheck's geometric REGIMES."""
+
     OVERLAPPING = "overlapping"
     DISJOINT = "disjoint"
     MIXED = "mixed"
@@ -95,12 +100,17 @@ class FitConfig:
             )
         if self.target_size_max > min(self.frame.width, self.frame.height):
             raise ValueError("target_size_max exceeds the frame")
-        if self.translation_sigma < 0 or self.scale_sigma < 0:
-            raise ValueError("perturbation sigmas must be non-negative")
+        sigmas = (self.translation_sigma, self.scale_sigma)
+        if not all(math.isfinite(s) and s >= 0 for s in sigmas):
+            raise ValueError(
+                f"perturbation sigmas must be finite and non-negative, got {sigmas}"
+            )
         if self.delta <= 0 or not math.isfinite(self.delta):
             raise ValueError(f"delta must be finite and positive, got {self.delta}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
         if not 0 <= self.momentum_or_decay < 1:
             raise ValueError(
                 f"momentum_or_decay must lie in [0, 1), got {self.momentum_or_decay}"
@@ -224,6 +234,7 @@ def fit(config: FitConfig) -> FitResult:
     state = np.zeros_like(params)
     huber = HuberParams(config.delta)
     kind = config.loss_kind
+    grad = _PAIR_GRAD[kind]
     lr = config.learning_rate
     rho = config.momentum_or_decay
 
@@ -237,19 +248,6 @@ def fit(config: FitConfig) -> FitResult:
         report = loss_batch(BoxBatch(boxes, targets), kind, huber)
         loss_traj.append(report.reduced_loss)
         iou_traj.append(sum(report.per_example_iou) / k)
-
-    def pair_grad(pred: Box, target: Box, lam: float) -> np.ndarray:
-        if kind is LossKind.HUBER:
-            g = grad_huber(pred, target, huber).components()
-        elif kind is LossKind.SQUARED:
-            g = grad_squared(pred, target).components()
-        elif kind is LossKind.IOU:
-            g = grad_iou_loss(pred, target).components()
-        else:
-            gi = grad_iou_loss(pred, target).components()
-            gh = grad_huber(pred, target, huber).components()
-            g = tuple(lam * a + (1.0 - lam) * b for a, b in zip(gi, gh))
-        return np.array(g)
 
     record()
     diverged = False
@@ -265,14 +263,14 @@ def fit(config: FitConfig) -> FitResult:
         preds = [Box(*params[i]) for i in idx]
         lam = 0.0
         if kind is LossKind.SMOOTH_IOU:
-            lam = sum(iou(p, targets[i]) for p, i in zip(preds, idx)) / len(idx)
+            lam = _blend_weight([iou(p, targets[i]) for p, i in zip(preds, idx)])
 
         previous = params.copy()
         # Overflow here is not an error: non-finite results are detected
         # below and trigger the rollback.
         with np.errstate(over="ignore", invalid="ignore"):
             for i, pred in zip(idx, preds):
-                g = pair_grad(pred, targets[i], lam)
+                g = np.array(grad(pred, targets[i], lam, huber))
                 if config.optimizer is OptimizerKind.RMSPROP_LIKE:
                     state[i] = rho * state[i] + (1.0 - rho) * g * g
                     params[i] -= lr * g / (np.sqrt(state[i]) + _RMSPROP_EPS)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box, BoxBatch, area, iou
-from .losses import HuberParams, LossKind, huber_box, iou_loss, squared_box
+from .boxes import Box, BoxBatch, area, intersection_dims, iou
+from .losses import _LOSSES, HuberParams, LossKind, _blend, _blend_weight
 
 __all__ = [
     "GradVector",
@@ -39,6 +39,8 @@ __all__ = [
 
 _COORD_NAMES = ("xmin", "ymin", "xmax", "ymax")
 
+# gradcheck's sampler draws each geometric case by construction, unlike fit's
+# OverlapRegime, which filters perturbed pairs only by IoU > 0 or IoU = 0.
 REGIMES = ("mixed", "partial", "nested", "shifted", "disjoint")
 
 
@@ -85,8 +87,7 @@ def grad_iou_loss(pred: Box, target: Box) -> GradVector:
     When the intersection area is zero the loss sits on its plateau and the
     gradient is exactly zero in every component.
     """
-    iw = min(pred.xmax, target.xmax) - max(pred.xmin, target.xmin)
-    ih = min(pred.ymax, target.ymax) - max(pred.ymin, target.ymin)
+    iw, ih = intersection_dims(pred, target)
     if iw <= 0.0 or ih <= 0.0:
         return _ZERO
 
@@ -112,8 +113,17 @@ def grad_iou_loss(pred: Box, target: Box) -> GradVector:
     return GradVector(*out)
 
 
-def _batch_lam(batch: BoxBatch) -> float:
-    return sum(iou(p, t) for p, t in batch.pairs()) / len(batch)
+# Per-pair gradient components of each kind at the batch's blend weight lam,
+# which only the smooth kind reads. Entries look the gradient functions up
+# when called, so replacing a module attribute reaches them.
+_PAIR_GRAD = {
+    LossKind.HUBER: lambda p, t, lam, params: grad_huber(p, t, params).components(),
+    LossKind.SQUARED: lambda p, t, lam, params: grad_squared(p, t).components(),
+    LossKind.IOU: lambda p, t, lam, params: grad_iou_loss(p, t).components(),
+    LossKind.SMOOTH_IOU: lambda p, t, lam, params: _blend(
+        lam, grad_iou_loss(p, t).components(), grad_huber(p, t, params).components()
+    ),
+}
 
 
 def grad_smooth_iou(
@@ -128,13 +138,9 @@ def grad_smooth_iou(
     """
     if not 0 <= k < len(batch):
         raise IndexError(f"example index {k} out of range for batch of {len(batch)}")
-    lam = _batch_lam(batch)
-    pred, target = batch.predicted[k], batch.target[k]
-    gi = grad_iou_loss(pred, target)
-    gh = grad_huber(pred, target, params)
-    return GradVector(
-        *(lam * a + (1.0 - lam) * b for a, b in zip(gi.components(), gh.components()))
-    )
+    lam = _blend_weight([iou(p, t) for p, t in batch.pairs()])
+    grad = _PAIR_GRAD[LossKind.SMOOTH_IOU]
+    return GradVector(*grad(batch.predicted[k], batch.target[k], lam, params))
 
 
 @dataclass(frozen=True)
@@ -242,9 +248,10 @@ def finite_diff_check(
     """
     if not 1e-7 <= step <= 1e-3:
         raise ValueError(f"step must lie in [1e-7, 1e-3], got {step}")
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not math.isfinite(tolerance) or tolerance <= 0:
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     kind = LossKind(kind)
+    grad, losses = _PAIR_GRAD[kind], _LOSSES[kind]
 
     rng = np.random.default_rng(config.seed)
     margin = 10.0 * step
@@ -258,26 +265,15 @@ def finite_diff_check(
             skipped += 1
             continue
 
-        if kind is LossKind.HUBER:
-            analytic = grad_huber(pred, target, params)
-            f = lambda p: huber_box(p, target, params)
-        elif kind is LossKind.SQUARED:
-            analytic = grad_squared(pred, target)
-            f = lambda p: squared_box(p, target)
-        elif kind is LossKind.IOU:
-            analytic = grad_iou_loss(pred, target)
-            f = lambda p: iou_loss(p, target)
-        else:
-            analytic = grad_smooth_iou(BoxBatch((pred,), (target,)), 0, params)
-            lam = iou(pred, target)
-            f = lambda p: lam * iou_loss(p, target) + (1.0 - lam) * huber_box(
-                p, target, params
-            )
+        # A single pair is a batch of one, so the smooth kind's lam is its IoU.
+        lam = iou(pred, target)
+        analytic = grad(pred, target, lam, params)
+        # The pred nudged by +step and by -step along each coordinate in turn.
+        pairs = [(_nudged(pred, i, s), target) for i in range(4) for s in (step, -step)]
+        f = losses(pairs, (iou(p, t) for p, t in pairs), lam, params)
 
-        for i, component in enumerate(analytic.components()):
-            numeric = (f(_nudged(pred, i, step)) - f(_nudged(pred, i, -step))) / (
-                2.0 * step
-            )
+        for i, component in enumerate(analytic):
+            numeric = (f[2 * i] - f[2 * i + 1]) / (2.0 * step)
             err = abs(component - numeric) / max(1.0, abs(numeric))
             if err > max_err:
                 max_err = err

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from .boxes import Box, BoxBatch, iou
 
@@ -100,6 +101,37 @@ class LossReport:
     reduced_loss: float
 
 
+def _blend(lam: float, a: Sequence[float], b: Sequence[float]) -> list[float]:
+    """Elementwise lam * a + (1 - lam) * b; for finite terms, lam == 0 gives
+    b and lam == 1 gives a bitwise."""
+    return [lam * x + (1.0 - lam) * y for x, y in zip(a, b)]
+
+
+def _blend_weight(ious: Sequence[float]) -> float:
+    """The smooth kind's lam: the arithmetic mean of the batch's IoUs."""
+    return sum(ious) / len(ious)
+
+
+# Per-example losses of each kind over a batch's (pred, target) pairs, given
+# their IoUs and the batch's blend weight lam, which only the smooth kind reads.
+# Only the IoU-based kinds read the IoUs, once, so they may come from a generator.
+_LOSSES = {
+    LossKind.HUBER: lambda pairs, ious, lam, params: [
+        huber_box(p, t, params) for p, t in pairs
+    ],
+    LossKind.SQUARED: lambda pairs, ious, lam, params: [
+        squared_box(p, t) for p, t in pairs
+    ],
+    LossKind.IOU: lambda pairs, ious, lam, params: [1.0 - i for i in ious],
+    LossKind.SMOOTH_IOU: lambda pairs, ious, lam, params: _blend(
+        lam, [1.0 - i for i in ious], [huber_box(p, t, params) for p, t in pairs]
+    ),
+}
+
+# The lam reported by the kinds that do not blend.
+_FIXED_LAM = {LossKind.HUBER: 0.0, LossKind.SQUARED: 0.0, LossKind.IOU: 1.0}
+
+
 def smooth_iou_batch(batch: BoxBatch, params: HuberParams = HuberParams()) -> LossReport:
     """Blended batch loss: lam * (1 - IoU_k) + (1 - lam) * Huber_k.
 
@@ -108,16 +140,7 @@ def smooth_iou_batch(batch: BoxBatch, params: HuberParams = HuberParams()) -> Lo
     an all-disjoint batch (lam == 0) reproduces the Huber losses bitwise, and
     an all-identical batch (lam == 1) gives exact zeros.
     """
-    ious = [iou(p, t) for p, t in batch.pairs()]
-    hubers = [huber_box(p, t, params) for p, t in batch.pairs()]
-    lam = sum(ious) / len(batch)
-    losses = [lam * (1.0 - i) + (1.0 - lam) * h for i, h in zip(ious, hubers)]
-    return LossReport(
-        per_example_loss=tuple(losses),
-        per_example_iou=tuple(ious),
-        lam=lam,
-        reduced_loss=sum(losses) / len(batch),
-    )
+    return loss_batch(batch, LossKind.SMOOTH_IOU, params)
 
 
 def loss_batch(
@@ -125,18 +148,9 @@ def loss_batch(
 ) -> LossReport:
     """Evaluate one loss kind over a batch; per_example_iou is always populated."""
     kind = LossKind(kind)
-    if kind is LossKind.SMOOTH_IOU:
-        return smooth_iou_batch(batch, params)
     ious = tuple(iou(p, t) for p, t in batch.pairs())
-    if kind is LossKind.HUBER:
-        losses = tuple(huber_box(p, t, params) for p, t in batch.pairs())
-        lam = 0.0
-    elif kind is LossKind.SQUARED:
-        losses = tuple(squared_box(p, t) for p, t in batch.pairs())
-        lam = 0.0
-    else:
-        losses = tuple(1.0 - i for i in ious)
-        lam = 1.0
+    lam = _blend_weight(ious) if kind is LossKind.SMOOTH_IOU else _FIXED_LAM[kind]
+    losses = tuple(_LOSSES[kind](tuple(batch.pairs()), ious, lam, params))
     return LossReport(
         per_example_loss=losses,
         per_example_iou=ious,

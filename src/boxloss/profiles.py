@@ -98,10 +98,7 @@ def sweep(config: SweepConfig = SweepConfig()) -> list[SweepRow]:
     Rows come out sorted by x_center. The smooth column is computed as a
     batch of size one, so its blend weight at each row is that row's IoU.
     """
-    return [
-        _row(config, x, config.pred_width, config.pred_height)
-        for x in _grid(config.x_center_start, config.x_center_end, config.num_samples)
-    ]
+    return sweep_mismatch(config)
 
 
 def sweep_mismatch(config: SweepConfig = SweepConfig(), scale: float = 1.0) -> list[SweepRow]:

@@ -144,6 +144,8 @@ class TestGradcheckCommand:
             ["gradcheck", "--step", "1"],
             ["gradcheck", "--step", "1e-9"],
             ["gradcheck", "--tol", "0"],
+            ["gradcheck", "--tol", "nan"],
+            ["gradcheck", "--step", "nan"],
             ["gradcheck", "--loss", "absolute"],
             ["gradcheck", "--regime", "upside_down"],
         ):
@@ -247,6 +249,9 @@ class TestFitCommand:
         for argv in (
             ["fit", "--out", out, "--steps", "0"],
             ["fit", "--out", out, "--lr", "0"],
+            ["fit", "--out", out, "--lr", "nan"],
+            ["fit", "--out", out, "--translation-sigma", "nan"],
+            ["fit", "--out", out, "--scale-sigma", "inf"],
             ["fit", "--out", out, "--num-pairs", "4", "--batch-size", "9"],
             ["fit", "--out", out, "--frame", "1,2,3"],
             ["fit", "--out", out, "--size-range", "5"],
@@ -420,6 +425,24 @@ class TestRerun:
         with pytest.raises(SystemExit) as exc:
             main(["rerun", str(weird)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            ["fit", {}],
+            {"command": "fit", "config": None},
+            {"command": "profile", "config": {"out": "p.csv", "delta": 1.0}},
+        ],
+        ids=["not_an_object", "null_config", "missing_keys"],
+    )
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys, manifest):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(SystemExit) as exc:
+            main(["rerun", str(path)])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
 
 
 class TestDeterminism:

@@ -270,6 +270,11 @@ class TestFitConfigValidation:
             {"target_size_min": 0.0},
             {"target_size_min": 30.0, "target_size_max": 20.0},
             {"target_size_max": 200.0},
+            {"learning_rate": math.nan},
+            {"learning_rate": math.inf},
+            {"translation_sigma": math.nan},
+            {"scale_sigma": math.nan},
+            {"scale_sigma": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

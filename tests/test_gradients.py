@@ -310,6 +310,10 @@ class TestFiniteDiffCheck:
             finite_diff_check(LossKind.HUBER, step=1e-8)
         with pytest.raises(ValueError):
             finite_diff_check(LossKind.HUBER, tolerance=0.0)
+        with pytest.raises(ValueError):
+            finite_diff_check(LossKind.HUBER, tolerance=math.nan)
+        with pytest.raises(ValueError):
+            finite_diff_check(LossKind.HUBER, step=math.nan)
 
     @pytest.mark.parametrize(
         "kind", [LossKind.HUBER, LossKind.SQUARED, LossKind.IOU, LossKind.SMOOTH_IOU]
