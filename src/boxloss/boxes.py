@@ -17,12 +17,20 @@ __all__ = [
     "area",
     "intersection_dims",
     "iou",
+    "overlap_array",
+    "iou_array",
     "iou_pixel_oracle",
 ]
 
 # Hard ceiling on oracle grid cells per axis, so a careless frame cannot
 # allocate unbounded memory.
 _MAX_ORACLE_CELLS = 50_000_000
+
+# The array kernels follow Python float semantics: overflow and invalid
+# operations give inf or nan silently, for the callers to detect, instead of
+# raising numpy RuntimeWarnings. Use it only as a decorator, which is
+# reentrant and thread-safe; one errstate cannot be entered twice as a `with`.
+_IEEE = np.errstate(all="ignore")
 
 
 @dataclass(frozen=True)
@@ -116,6 +124,13 @@ class BoxBatch:
     def pairs(self) -> Iterator[tuple[Box, Box]]:
         return zip(self.predicted, self.target)
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(K, 4) float64 corner arrays of the predicted and target boxes."""
+        return (
+            np.array([b.corners() for b in self.predicted]),
+            np.array([b.corners() for b in self.target]),
+        )
+
 
 def transform(b: BoxYXHW) -> Box:
     """Convert from (y1, x1, h, w) to corner form.
@@ -154,6 +169,35 @@ def iou(a: Box, b: Box) -> float:
     if union <= 0.0:
         return 0.0
     return min(1.0, max(0.0, inter / union))
+
+
+@_IEEE
+def overlap_array(
+    pred: np.ndarray, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise (overlap width, overlap height, intersection, union) of two
+    (K, 4) corner arrays, each bitwise equal to the scalar code's value."""
+    iw = np.minimum(pred[:, 2], target[:, 2]) - np.maximum(pred[:, 0], target[:, 0])
+    ih = np.minimum(pred[:, 3], target[:, 3]) - np.maximum(pred[:, 1], target[:, 1])
+    # max(0.0, x) in Python keeps 0.0 for x = -0.0, which np.maximum may not.
+    iw = np.where(iw > 0.0, iw, 0.0)
+    ih = np.where(ih > 0.0, ih, 0.0)
+    inter = iw * ih
+    union = _area_rows(pred) + _area_rows(target) - inter
+    return iw, ih, inter, union
+
+
+def _area_rows(corners: np.ndarray) -> np.ndarray:
+    return (corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1])
+
+
+@_IEEE
+def iou_array(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Row-wise iou of two (K, 4) corner arrays, bitwise equal to iou per pair."""
+    _, _, inter, union = overlap_array(pred, target)
+    ratio = inter / union
+    # iou's guards: union <= 0 gives 0, and max(0.0, ratio) is 0 for a nan ratio.
+    return np.where((union > 0.0) & (ratio > 0.0), np.minimum(ratio, 1.0), 0.0)
 
 
 def _cell_centers(lo: float, hi: float, resolution: int) -> np.ndarray:

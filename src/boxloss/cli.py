@@ -362,6 +362,8 @@ def _cmd_rerun(args, parser) -> int:
         execute(cfg)
     except ValueError as exc:
         parser.error(str(exc))
+    except TypeError as exc:
+        parser.error(f"manifest config has a value of the wrong type: {exc}")
     return 0
 
 

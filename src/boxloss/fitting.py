@@ -17,11 +17,14 @@ from enum import Enum
 
 import numpy as np
 
-from .boxes import Box, BoxBatch, iou
-# fit calls grad_huber and grad_iou_loss through _PAIR_GRAD; bench/worker.py's
-# traced run also replaces them here by name.
-from .gradients import _PAIR_GRAD, grad_huber, grad_iou_loss  # noqa: F401
-from .losses import HuberParams, LossKind, _blend_weight, loss_batch
+from .boxes import Box, BoxBatch, iou, iou_array
+from .gradients import _PAIR_GRAD
+from .losses import _LOSSES, HuberParams, LossKind, _blend_weight
+
+# Unused here: fit runs on the array rows of _LOSSES and _PAIR_GRAD. The
+# traced run of bench/worker.py replaces these names on this module.
+from .gradients import grad_huber, grad_iou_loss  # noqa: F401
+from .losses import loss_batch  # noqa: F401
 
 __all__ = [
     "OverlapRegime",
@@ -204,18 +207,6 @@ def generate_dataset(config: FitConfig) -> BoxBatch:
     return BoxBatch(tuple(predicted), tuple(targets))
 
 
-def _project_row(row: np.ndarray) -> None:
-    # Inverted coordinates collapse to their midpoint; degenerate is valid.
-    if row[2] < row[0]:
-        mid = 0.5 * (row[0] + row[2])
-        row[0] = mid
-        row[2] = mid
-    if row[3] < row[1]:
-        mid = 0.5 * (row[1] + row[3])
-        row[1] = mid
-        row[3] = mid
-
-
 def fit(config: FitConfig) -> FitResult:
     """Descend on the predicted boxes' corner coordinates.
 
@@ -227,27 +218,28 @@ def fit(config: FitConfig) -> FitResult:
     the step is rolled back, diverged is set, and the remaining trajectory
     repeats the last finite state.
     """
-    dataset = generate_dataset(config)
-    targets = dataset.target
-    k = config.num_pairs
-    params = np.array([b.corners() for b in dataset.predicted], dtype=float)
+    params, targets = generate_dataset(config).arrays()
     state = np.zeros_like(params)
     huber = HuberParams(config.delta)
     kind = config.loss_kind
-    grad = _PAIR_GRAD[kind]
+    smooth = kind is LossKind.SMOOTH_IOU
+    grad, losses = _PAIR_GRAD[kind], _LOSSES[kind]
     lr = config.learning_rate
     rho = config.momentum_or_decay
+    k = config.num_pairs
 
     order = np.random.default_rng(config.seed).permutation(k)
+    offsets = np.arange(config.batch_size)
 
     loss_traj: list[float] = []
     iou_traj: list[float] = []
 
     def record() -> None:
-        boxes = tuple(Box(*row) for row in params)
-        report = loss_batch(BoxBatch(boxes, targets), kind, huber)
-        loss_traj.append(report.reduced_loss)
-        iou_traj.append(sum(report.per_example_iou) / k)
+        ious = iou_array(params, targets)
+        mean_iou = _blend_weight(ious)
+        loss = losses(params, targets, ious, mean_iou if smooth else 0.0, huber)
+        loss_traj.append(sum(loss.tolist()) / k)
+        iou_traj.append(mean_iou)
 
     record()
     diverged = False
@@ -257,29 +249,31 @@ def fit(config: FitConfig) -> FitResult:
             record()
             continue
 
-        idx = [int(order[(cursor + j) % k]) for j in range(config.batch_size)]
+        idx = order[(cursor + offsets) % k]
         cursor = (cursor + config.batch_size) % k
 
-        preds = [Box(*params[i]) for i in idx]
-        lam = 0.0
-        if kind is LossKind.SMOOTH_IOU:
-            lam = _blend_weight([iou(p, targets[i]) for p, i in zip(preds, idx)])
-
-        previous = params.copy()
+        batch, batch_targets = params[idx], targets[idx]
+        lam = _blend_weight(iou_array(batch, batch_targets)) if smooth else 0.0
+        g = grad(batch, batch_targets, lam, huber)
         # Overflow here is not an error: non-finite results are detected
         # below and trigger the rollback.
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, pred in zip(idx, preds):
-                g = np.array(grad(pred, targets[i], lam, huber))
-                if config.optimizer is OptimizerKind.RMSPROP_LIKE:
-                    state[i] = rho * state[i] + (1.0 - rho) * g * g
-                    params[i] -= lr * g / (np.sqrt(state[i]) + _RMSPROP_EPS)
-                else:
-                    state[i] = rho * state[i] + g
-                    params[i] -= lr * state[i]
-                _project_row(params[i])
+            if config.optimizer is OptimizerKind.RMSPROP_LIKE:
+                batch_state = rho * state[idx] + (1.0 - rho) * g * g
+                moved = batch - lr * g / (np.sqrt(batch_state) + _RMSPROP_EPS)
+            else:
+                batch_state = rho * state[idx] + g
+                moved = batch - lr * batch_state
+            # Inverted coordinates collapse to their midpoint; degenerate is valid.
+            for lo, hi in ((0, 2), (1, 3)):
+                inverted = moved[:, hi] < moved[:, lo]
+                mid = 0.5 * (moved[inverted, lo] + moved[inverted, hi])
+                moved[inverted, lo] = mid
+                moved[inverted, hi] = mid
+        state[idx] = batch_state
+        params[idx] = moved
 
-        bad = not np.isfinite(params).all()
+        bad = not np.isfinite(moved).all()
         if not bad:
             record()
             if not math.isfinite(loss_traj[-1]):
@@ -287,7 +281,7 @@ def fit(config: FitConfig) -> FitResult:
                 iou_traj.pop()
                 bad = True
         if bad:
-            params = previous
+            params[idx] = batch
             diverged = True
             record()
 
@@ -297,7 +291,7 @@ def fit(config: FitConfig) -> FitResult:
         loss_trajectory=tuple(loss_traj),
         iou_trajectory=tuple(iou_traj),
         diverged=diverged,
-        final_predicted=tuple(Box(*row) for row in params),
+        final_predicted=tuple(Box(*row) for row in params.tolist()),
     )
 
 

@@ -18,12 +18,15 @@ one-sided slopes rather than either convention.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box, BoxBatch, area, intersection_dims, iou
+from .boxes import _IEEE, Box, BoxBatch, area, intersection_dims, iou_array, overlap_array
+# Unused here; bench/worker.py's traced run replaces iou on this module by name.
+from .boxes import iou  # noqa: F401
 from .losses import _LOSSES, HuberParams, LossKind, _blend, _blend_weight
 
 __all__ = [
@@ -42,6 +45,10 @@ _COORD_NAMES = ("xmin", "ymin", "xmax", "ymax")
 # gradcheck's sampler draws each geometric case by construction, unlike fit's
 # OverlapRegime, which filters perturbed pairs only by IoU > 0 or IoU = 0.
 REGIMES = ("mixed", "partial", "nested", "shifted", "disjoint")
+
+# finite_diff_check evaluates the sample pairs that pass its kink filter in
+# batches of this many, so its memory does not grow with num_samples.
+_CHECK_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -113,15 +120,49 @@ def grad_iou_loss(pred: Box, target: Box) -> GradVector:
     return GradVector(*out)
 
 
-# Per-pair gradient components of each kind at the batch's blend weight lam,
-# which only the smooth kind reads. Entries look the gradient functions up
-# when called, so replacing a module attribute reaches them.
+@_IEEE
+def _grad_huber_rows(pred: np.ndarray, target: np.ndarray, delta: float) -> np.ndarray:
+    z = pred - target
+    return np.where(np.abs(z) < delta, z, np.copysign(delta, z))
+
+
+@_IEEE
+def _grad_squared_rows(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    return pred - target
+
+
+@_IEEE
+def _grad_iou_rows(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """grad_iou_loss per row of two (K, 4) corner arrays, with the same
+    tie conventions and an exact zero row on the plateau."""
+    iw, ih, inter, union = overlap_array(pred, target)
+    w = pred[:, 2] - pred[:, 0]
+    h = pred[:, 3] - pred[:, 1]
+    # Intersection width/height respond only to the binding predicted edge.
+    binding = np.concatenate(
+        (
+            np.where(pred[:, :2] >= target[:, :2], -1.0, 0.0),
+            np.where(pred[:, 2:] <= target[:, 2:], 1.0, 0.0),
+        ),
+        axis=1,
+    )
+    di = np.stack((ih, iw, ih, iw), axis=1) * binding
+    du = np.stack((-h, -w, h, w), axis=1) - di
+    u = union[:, None]
+    grad = -(u * di - inter[:, None] * du) / (u * u)
+    plateau = (iw <= 0.0) | (ih <= 0.0)
+    return np.where(plateau[:, None], 0.0, grad)
+
+
+# Per-pair gradients of each kind as a (K, 4) array, bitwise equal to the
+# scalar functions, over (K, 4) predicted and target corners at the blend
+# weight lam, a scalar or a (K, 1) array, which only the smooth kind reads.
 _PAIR_GRAD = {
-    LossKind.HUBER: lambda p, t, lam, params: grad_huber(p, t, params).components(),
-    LossKind.SQUARED: lambda p, t, lam, params: grad_squared(p, t).components(),
-    LossKind.IOU: lambda p, t, lam, params: grad_iou_loss(p, t).components(),
+    LossKind.HUBER: lambda p, t, lam, params: _grad_huber_rows(p, t, params.delta),
+    LossKind.SQUARED: lambda p, t, lam, params: _grad_squared_rows(p, t),
+    LossKind.IOU: lambda p, t, lam, params: _grad_iou_rows(p, t),
     LossKind.SMOOTH_IOU: lambda p, t, lam, params: _blend(
-        lam, grad_iou_loss(p, t).components(), grad_huber(p, t, params).components()
+        lam, _grad_iou_rows(p, t), _grad_huber_rows(p, t, params.delta)
     ),
 }
 
@@ -138,9 +179,10 @@ def grad_smooth_iou(
     """
     if not 0 <= k < len(batch):
         raise IndexError(f"example index {k} out of range for batch of {len(batch)}")
-    lam = _blend_weight([iou(p, t) for p, t in batch.pairs()])
-    grad = _PAIR_GRAD[LossKind.SMOOTH_IOU]
-    return GradVector(*grad(batch.predicted[k], batch.target[k], lam, params))
+    pred, target = batch.arrays()
+    lam = _blend_weight(iou_array(pred, target))
+    grad = _PAIR_GRAD[LossKind.SMOOTH_IOU](pred[k : k + 1], target[k : k + 1], lam, params)
+    return GradVector(*grad[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -225,10 +267,35 @@ def _near_kink(pred: Box, target: Box, delta: float, margin: float) -> bool:
     return False
 
 
-def _nudged(box: Box, index: int, amount: float) -> Box:
-    corners = list(box.corners())
-    corners[index] += amount
-    return Box(*corners)
+@_IEEE
+def _max_error(
+    kind: LossKind,
+    pred: np.ndarray,
+    target: np.ndarray,
+    step: float,
+    params: HuberParams,
+    max_err: float,
+) -> float:
+    """max_err raised to the largest relative error over N sample pairs, given
+    as (N, 4) corner arrays; a nan error never counts, as in err > max_err."""
+    # A single pair is a batch of one, so the smooth kind's lam is its IoU.
+    lam = iou_array(pred, target)
+    analytic = _PAIR_GRAD[kind](pred, target, lam[:, None], params)
+    # Rows 8n + 2i and 8n + 2i + 1 nudge sample n's coordinate i by +step and
+    # by -step; each keeps its sample's frozen lam.
+    nudged = np.repeat(pred, 8, axis=0).reshape(-1, 4, 2, 4)
+    for i in range(4):
+        nudged[:, i, 0, i] += step
+        nudged[:, i, 1, i] += -step
+    nudged = nudged.reshape(-1, 4)
+    targets = np.repeat(target, 8, axis=0)
+    f = _LOSSES[kind](
+        nudged, targets, iou_array(nudged, targets), np.repeat(lam, 8), params
+    ).reshape(-1, 4, 2)
+    numeric = (f[:, :, 0] - f[:, :, 1]) / (2.0 * step)
+    size = np.abs(numeric)
+    err = np.abs(analytic - numeric) / np.where(size > 1.0, size, 1.0)
+    return float(np.fmax.reduce(err, axis=None, initial=max_err))
 
 
 def finite_diff_check(
@@ -251,36 +318,26 @@ def finite_diff_check(
     if not math.isfinite(tolerance) or tolerance <= 0:
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     kind = LossKind(kind)
-    grad, losses = _PAIR_GRAD[kind], _LOSSES[kind]
 
     rng = np.random.default_rng(config.seed)
     margin = 10.0 * step
+
+    def kept_pairs():
+        for _ in range(config.num_samples):
+            pred, target = _sample_pair(rng, config.regime)
+            if not _near_kink(pred, target, params.delta, margin):
+                yield pred.corners() + target.corners()
+
     checked = 0
-    skipped = 0
     max_err = 0.0
-
-    for _ in range(config.num_samples):
-        pred, target = _sample_pair(rng, config.regime)
-        if _near_kink(pred, target, params.delta, margin):
-            skipped += 1
-            continue
-
-        # A single pair is a batch of one, so the smooth kind's lam is its IoU.
-        lam = iou(pred, target)
-        analytic = grad(pred, target, lam, params)
-        # The pred nudged by +step and by -step along each coordinate in turn.
-        pairs = [(_nudged(pred, i, s), target) for i in range(4) for s in (step, -step)]
-        f = losses(pairs, (iou(p, t) for p, t in pairs), lam, params)
-
-        for i, component in enumerate(analytic):
-            numeric = (f[2 * i] - f[2 * i + 1]) / (2.0 * step)
-            err = abs(component - numeric) / max(1.0, abs(numeric))
-            if err > max_err:
-                max_err = err
-        checked += 1
+    pairs = kept_pairs()
+    while chunk := list(itertools.islice(pairs, _CHECK_CHUNK)):
+        rows = np.array(chunk)
+        max_err = _max_error(kind, rows[:, :4], rows[:, 4:], step, params, max_err)
+        checked += len(chunk)
 
     return GradCheckResult(
         max_relative_error=max_err,
         num_points_checked=checked,
-        num_skipped_near_kink=skipped,
+        num_skipped_near_kink=config.num_samples - checked,
     )

@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+import numpy as np
 
-from .boxes import Box, BoxBatch, iou
+from .boxes import _IEEE, Box, BoxBatch, iou, iou_array
 
 __all__ = [
     "LossKind",
@@ -101,30 +101,47 @@ class LossReport:
     reduced_loss: float
 
 
-def _blend(lam: float, a: Sequence[float], b: Sequence[float]) -> list[float]:
-    """Elementwise lam * a + (1 - lam) * b; for finite terms, lam == 0 gives
-    b and lam == 1 gives a bitwise."""
-    return [lam * x + (1.0 - lam) * y for x, y in zip(a, b)]
+@_IEEE
+def _blend(lam, a, b):
+    """lam * a + (1 - lam) * b, elementwise over arrays; for finite terms,
+    lam == 0 gives b and lam == 1 gives a bitwise."""
+    return lam * a + (1.0 - lam) * b
 
 
-def _blend_weight(ious: Sequence[float]) -> float:
-    """The smooth kind's lam: the arithmetic mean of the batch's IoUs."""
-    return sum(ious) / len(ious)
+def _blend_weight(ious: np.ndarray) -> float:
+    """The smooth kind's lam: the arithmetic mean of the batch's IoUs, summed
+    left to right like Python's sum, not pairwise like numpy's."""
+    return sum(ious.tolist()) / len(ious)
 
 
-# Per-example losses of each kind over a batch's (pred, target) pairs, given
-# their IoUs and the batch's blend weight lam, which only the smooth kind reads.
-# Only the IoU-based kinds read the IoUs, once, so they may come from a generator.
+def _corner_sum(terms: np.ndarray) -> np.ndarray:
+    """Per-row sum of (K, 4) coordinate terms in the scalar losses' order."""
+    return terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
+
+
+@_IEEE
+def _huber_rows(pred: np.ndarray, target: np.ndarray, delta: float) -> np.ndarray:
+    z = pred - target
+    a = np.abs(z)
+    return _corner_sum(np.where(a < delta, 0.5 * z * z, delta * a - 0.5 * delta * delta))
+
+
+@_IEEE
+def _squared_rows(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    d = pred - target
+    return _corner_sum(0.5 * d * d)
+
+
+# Per-example losses of each kind as a (K,) array, bitwise equal to the scalar
+# functions, over (K, 4) predicted and target corners, given the pairs' IoUs
+# and the blend weight lam, a scalar or a (K,) array, which only the smooth
+# kind reads.
 _LOSSES = {
-    LossKind.HUBER: lambda pairs, ious, lam, params: [
-        huber_box(p, t, params) for p, t in pairs
-    ],
-    LossKind.SQUARED: lambda pairs, ious, lam, params: [
-        squared_box(p, t) for p, t in pairs
-    ],
-    LossKind.IOU: lambda pairs, ious, lam, params: [1.0 - i for i in ious],
-    LossKind.SMOOTH_IOU: lambda pairs, ious, lam, params: _blend(
-        lam, [1.0 - i for i in ious], [huber_box(p, t, params) for p, t in pairs]
+    LossKind.HUBER: lambda p, t, ious, lam, params: _huber_rows(p, t, params.delta),
+    LossKind.SQUARED: lambda p, t, ious, lam, params: _squared_rows(p, t),
+    LossKind.IOU: lambda p, t, ious, lam, params: 1.0 - ious,
+    LossKind.SMOOTH_IOU: lambda p, t, ious, lam, params: _blend(
+        lam, 1.0 - ious, _huber_rows(p, t, params.delta)
     ),
 }
 
@@ -148,12 +165,13 @@ def loss_batch(
 ) -> LossReport:
     """Evaluate one loss kind over a batch; per_example_iou is always populated."""
     kind = LossKind(kind)
-    ious = tuple(iou(p, t) for p, t in batch.pairs())
+    pred, target = batch.arrays()
+    ious = iou_array(pred, target)
     lam = _blend_weight(ious) if kind is LossKind.SMOOTH_IOU else _FIXED_LAM[kind]
-    losses = tuple(_LOSSES[kind](tuple(batch.pairs()), ious, lam, params))
+    losses = _LOSSES[kind](pred, target, ious, lam, params).tolist()
     return LossReport(
-        per_example_loss=losses,
-        per_example_iou=ious,
+        per_example_loss=tuple(losses),
+        per_example_iou=tuple(ious.tolist()),
         lam=lam,
         reduced_loss=sum(losses) / len(batch),
     )

@@ -15,8 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .boxes import Box, BoxBatch, iou
-from .losses import HuberParams, huber_box, smooth_iou_batch, squared_box
+from .boxes import Box, iou_array
+# Unused here; bench/worker.py's traced run replaces iou on this module by name.
+from .boxes import iou  # noqa: F401
+from .losses import _LOSSES, HuberParams, LossKind
 
 __all__ = [
     "SweepConfig",
@@ -72,26 +74,6 @@ def _grid(start: float, end: float, n: int) -> list[float]:
     return xs
 
 
-def _row(config: SweepConfig, x_center: float, pred_w: float, pred_h: float) -> SweepRow:
-    pred = Box(
-        x_center - pred_w / 2,
-        config.y_center - pred_h / 2,
-        x_center + pred_w / 2,
-        config.y_center + pred_h / 2,
-    )
-    params = HuberParams(config.delta)
-    v = iou(pred, config.target)
-    smooth = smooth_iou_batch(BoxBatch((pred,), (config.target,)), params).reduced_loss
-    return SweepRow(
-        x_center=x_center,
-        huber=huber_box(pred, config.target, params),
-        squared=squared_box(pred, config.target),
-        iou_loss=1.0 - v,
-        smooth_iou=smooth,
-        iou=v,
-    )
-
-
 def sweep(config: SweepConfig = SweepConfig()) -> list[SweepRow]:
     """Evaluate every loss on the sliding box, one row per grid x_center.
 
@@ -112,10 +94,28 @@ def sweep_mismatch(config: SweepConfig = SweepConfig(), scale: float = 1.0) -> l
         raise ValueError(f"scale must be finite and positive, got {scale}")
     pred_w = scale * config.pred_width
     pred_h = scale * config.pred_height
-    return [
-        _row(config, x, pred_w, pred_h)
-        for x in _grid(config.x_center_start, config.x_center_end, config.num_samples)
-    ]
+    xs = _grid(config.x_center_start, config.x_center_end, config.num_samples)
+    y_lo, y_hi = config.y_center - pred_h / 2, config.y_center + pred_h / 2
+    pred = np.array([(x - pred_w / 2, y_lo, x + pred_w / 2, y_hi) for x in xs])
+    if not np.isfinite(pred).all():
+        raise ValueError("every sliding box corner must be finite")
+    target = np.tile(config.target.corners(), (len(xs), 1))
+    params = HuberParams(config.delta)
+    v = iou_array(pred, target)
+
+    def column(kind: LossKind, lam) -> list[float]:
+        return _LOSSES[kind](pred, target, v, lam, params).tolist()
+
+    # Each row is a batch of one, so the smooth column's lam is the row's IoU.
+    columns = zip(
+        xs,
+        column(LossKind.HUBER, 0.0),
+        column(LossKind.SQUARED, 0.0),
+        column(LossKind.IOU, 1.0),
+        column(LossKind.SMOOTH_IOU, v),
+        v.tolist(),
+    )
+    return [SweepRow(*row) for row in columns]
 
 
 def delta_study(

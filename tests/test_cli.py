@@ -432,8 +432,18 @@ class TestRerun:
             ["fit", {}],
             {"command": "fit", "config": None},
             {"command": "profile", "config": {"out": "p.csv", "delta": 1.0}},
+            {
+                "command": "profile",
+                "config": {
+                    "out": "p.csv",
+                    "delta": 1.0,
+                    "mismatch_scale": 1.0,
+                    "samples": "11",
+                    "deltas": None,
+                },
+            },
         ],
-        ids=["not_an_object", "null_config", "missing_keys"],
+        ids=["not_an_object", "null_config", "missing_keys", "wrong_type"],
     )
     def test_malformed_manifest_exits_2(self, tmp_path, capsys, manifest):
         path = tmp_path / "manifest.json"

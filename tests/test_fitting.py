@@ -178,6 +178,25 @@ class TestFit:
         for box in result.final_predicted:
             assert box.xmax >= box.xmin and box.ymax >= box.ymin
 
+    @pytest.mark.parametrize("kind", ["huber", "squared", "smooth_iou"])
+    def test_overflowing_learning_rate_diverges(self, kind):
+        # The first step overflows; the suite turns any numpy RuntimeWarning
+        # this leaks into a failure.
+        config = FitConfig(
+            num_pairs=20,
+            batch_size=20,
+            steps=20,
+            seed=3,
+            loss_kind=kind,
+            optimizer="plain_gd",
+            learning_rate=1e308,
+        )
+        result = fit(config)
+        assert result.diverged
+        assert len(result.loss_trajectory) == 21
+        assert all(math.isfinite(v) for v in result.loss_trajectory)
+        assert all(math.isfinite(v) for v in result.iou_trajectory)
+
     def test_plain_gd_with_momentum_runs(self):
         config = FitConfig(
             optimizer="plain_gd",
