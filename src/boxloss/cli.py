@@ -22,13 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .boxes import Box
-from .fitting import (
-    FitConfig,
-    InfeasibleDatasetError,
-    OptimizerKind,
-    OverlapRegime,
-    compare_losses,
-)
+from .fitting import FitConfig, InfeasibleDatasetError, compare_losses
 from .gradients import REGIMES, GradCheckConfig, finite_diff_check
 from .losses import LossKind
 from .profiles import SweepConfig, SweepRow, sweep_mismatch
@@ -45,6 +39,19 @@ _SUMMARY_HEADER = "loss_kind,mean_final_iou,stddev_final_iou,mean_initial_iou"
 # except that loss_kind is spelled `loss`, like its flag.
 _FIT_FIELDS = {("loss" if f.name == "loss_kind" else f.name): f for f in fields(FitConfig)}
 _FIT_TYPES = typing.get_type_hints(FitConfig)
+# The fit flag of each key that has its own: the key in kebab case, except
+# --lr. The frame and the target size range are set by --frame and
+# --size-range, which parse composite values.
+_FIT_FLAGS = {
+    key: "--lr" if key == "learning_rate" else "--" + key.replace("_", "-")
+    for key in _FIT_FIELDS
+    if key not in ("frame", "target_size_min", "target_size_max")
+}
+_FIT_HELP = {
+    "delta": "Huber threshold",
+    "learning_rate": "learning rate",
+    "momentum_or_decay": "momentum (plain_gd) or squared-gradient decay (rmsprop_like)",
+}
 
 
 def _fmt(value: float) -> str:
@@ -203,8 +210,11 @@ def _execute_fit(cfg: dict) -> list[str]:
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
+    diverged: list[str] = []
 
     for (kind, seed), run in result.runs.items():
+        if run.diverged:
+            diverged.append(f"{kind.value} seed {seed}")
         path = outdir / f"trajectory_{kind.value}_seed{seed}.csv"
         lines = [_TRAJECTORY_HEADER]
         for step, (loss, mean_iou) in enumerate(
@@ -225,6 +235,12 @@ def _execute_fit(cfg: dict) -> list[str]:
     outputs.append(str(summary_path))
 
     _write_manifest(outdir / "manifest.json", "fit", cfg, cfg["seed"], outputs)
+    if diverged:
+        print(
+            "warning: these runs diverged; their trajectories repeat the last finite "
+            f"step: {', '.join(diverged)}",
+            file=sys.stderr,
+        )
     return outputs
 
 
@@ -274,22 +290,8 @@ def _cmd_fit(args, parser) -> int:
             parser.error(str(exc))
     cfg.update(file_values)
 
-    flag_map = {
-        "num_pairs": args.num_pairs,
-        "translation_sigma": args.translation_sigma,
-        "scale_sigma": args.scale_sigma,
-        "regime": args.regime,
-        "loss": args.loss,
-        "delta": args.delta,
-        "optimizer": args.optimizer,
-        "learning_rate": args.lr,
-        "momentum_or_decay": args.momentum_or_decay,
-        "steps": args.steps,
-        "batch_size": args.batch_size,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            cfg[key] = value
+    flags = vars(args)
+    cfg.update({key: flags[key] for key in _FIT_FLAGS if flags[key] is not None})
     if args.frame is not None:
         try:
             cfg["frame"] = _parse_value(Box, args.frame)
@@ -317,13 +319,8 @@ def _cmd_fit(args, parser) -> int:
         compare = [part.strip() for part in args.compare.split(",") if part.strip()]
         if not compare:
             parser.error("--compare expects at least one loss kind")
-        for name in compare:
-            if name not in [k.value for k in LossKind]:
-                parser.error(f"unknown loss kind {name!r} in --compare")
     cfg["compare"] = compare
     cfg["num_seeds"] = args.seeds if args.seeds is not None else (20 if compare else 1)
-    if cfg["num_seeds"] < 1:
-        parser.error(f"--seeds must be >= 1, got {cfg['num_seeds']}")
     cfg["out"] = args.out
 
     try:
@@ -358,6 +355,11 @@ def _cmd_rerun(args, parser) -> int:
     missing = [key for key in keys if key not in cfg]
     if missing:
         parser.error(f"manifest config lacks {', '.join(missing)}")
+    # Outputs are byte-identical only within one version.
+    if manifest.get("version") != __version__:
+        parser.error(
+            f"manifest is from boxloss {manifest.get('version')!r}, this is {__version__}"
+        )
     try:
         execute(cfg)
     except ValueError as exc:
@@ -379,15 +381,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("profile", help="write sliding-box loss profiles as CSV")
+    p.set_defaults(run=_cmd_profile)
     p.add_argument("--out", required=True, help="output CSV path (or stem for --deltas)")
-    p.add_argument("--delta", type=float, default=1.0, help="Huber threshold")
+    p.add_argument("--delta", type=float, default=SweepConfig.delta, help="Huber threshold")
     p.add_argument(
         "--mismatch-scale",
         type=float,
         default=1.0,
         help="multiply the sliding box's size by this factor",
     )
-    p.add_argument("--samples", type=int, default=161, help="grid points across the sweep")
+    p.add_argument(
+        "--samples",
+        type=int,
+        default=SweepConfig.num_samples,
+        help="grid points across the sweep",
+    )
     p.add_argument(
         "--deltas",
         default=None,
@@ -395,48 +403,44 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     g = sub.add_parser("gradcheck", help="verify analytic gradients by finite differences")
+    g.set_defaults(run=_cmd_gradcheck)
     g.add_argument(
         "--loss",
         default="all",
         choices=[k.value for k in LossKind] + ["all"],
         help="loss kind to check",
     )
-    g.add_argument("--samples", type=int, default=1000, help="random pairs to sample")
+    g.add_argument(
+        "--samples",
+        type=int,
+        default=GradCheckConfig.num_samples,
+        help="random pairs to sample",
+    )
     g.add_argument("--step", type=float, default=1e-5, help="central-difference step")
     g.add_argument("--tol", type=float, default=1e-4, help="max allowed relative error")
     g.add_argument("--seed", type=int, default=None, help="sampler seed")
-    g.add_argument("--regime", default="mixed", choices=REGIMES, help="overlap regime")
+    g.add_argument(
+        "--regime", default=GradCheckConfig.regime, choices=REGIMES, help="overlap regime"
+    )
 
     f = sub.add_parser("fit", help="fit perturbed boxes back onto synthetic targets")
+    f.set_defaults(run=_cmd_fit)
     f.add_argument("--out", required=True, help="output directory")
     f.add_argument("--config", default=None, help="flat `key = value` config file")
     f.add_argument("--compare", default=None, help="comma-separated loss kinds to compare")
     f.add_argument("--seeds", type=int, default=None, help="matched seeds per kind")
-    f.add_argument("--loss", default=None, choices=[k.value for k in LossKind])
-    f.add_argument("--num-pairs", type=int, default=None)
     f.add_argument("--frame", default=None, help="frame as xmin,ymin,xmax,ymax")
     f.add_argument("--size-range", default=None, help="target size range as min,max")
-    f.add_argument("--translation-sigma", type=float, default=None)
-    f.add_argument("--scale-sigma", type=float, default=None)
-    f.add_argument(
-        "--regime", default=None, choices=[r.value for r in OverlapRegime]
-    )
-    f.add_argument("--delta", type=float, default=None, help="Huber threshold")
-    f.add_argument(
-        "--optimizer", default=None, choices=[o.value for o in OptimizerKind]
-    )
-    f.add_argument("--lr", type=float, default=None, help="learning rate")
-    f.add_argument(
-        "--momentum-or-decay",
-        type=float,
-        default=None,
-        help="momentum (plain_gd) or squared-gradient decay (rmsprop_like)",
-    )
-    f.add_argument("--steps", type=int, default=None)
-    f.add_argument("--seed", type=int, default=None)
-    f.add_argument("--batch-size", type=int, default=None)
+    for key, flag in _FIT_FLAGS.items():
+        hint = _FIT_TYPES[_FIT_FIELDS[key].name]
+        if issubclass(hint, Enum):
+            kwargs = {"choices": [member.value for member in hint]}
+        else:
+            kwargs = {"type": hint}
+        f.add_argument(flag, dest=key, default=None, help=_FIT_HELP.get(key), **kwargs)
 
     r = sub.add_parser("rerun", help="replay a recorded manifest byte for byte")
+    r.set_defaults(run=_cmd_rerun)
     r.add_argument("manifest", help="path to a manifest.json written by a previous run")
 
     return parser
@@ -446,14 +450,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "profile":
-            return _cmd_profile(args, parser)
-        if args.command == "gradcheck":
-            return _cmd_gradcheck(args, parser)
-        if args.command == "fit":
-            return _cmd_fit(args, parser)
-        if args.command == "rerun":
-            return _cmd_rerun(args, parser)
+        return args.run(args, parser)
     except InfeasibleDatasetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -463,7 +460,6 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: invalid manifest: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

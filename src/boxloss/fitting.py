@@ -108,8 +108,7 @@ class FitConfig:
             raise ValueError(
                 f"perturbation sigmas must be finite and non-negative, got {sigmas}"
             )
-        if self.delta <= 0 or not math.isfinite(self.delta):
-            raise ValueError(f"delta must be finite and positive, got {self.delta}")
+        HuberParams(self.delta)
         if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
             raise ValueError(
                 f"learning_rate must be finite and positive, got {self.learning_rate}"
@@ -245,10 +244,6 @@ def fit(config: FitConfig) -> FitResult:
     diverged = False
     cursor = 0
     for _ in range(config.steps):
-        if diverged:
-            record()
-            continue
-
         idx = order[(cursor + offsets) % k]
         cursor = (cursor + config.batch_size) % k
 
@@ -273,18 +268,20 @@ def fit(config: FitConfig) -> FitResult:
         state[idx] = batch_state
         params[idx] = moved
 
-        bad = not np.isfinite(moved).all()
-        if not bad:
+        if np.isfinite(moved).all():
             record()
-            if not math.isfinite(loss_traj[-1]):
-                loss_traj.pop()
-                iou_traj.pop()
-                bad = True
-        if bad:
-            params[idx] = batch
-            diverged = True
-            record()
+            if math.isfinite(loss_traj[-1]):
+                continue
+            loss_traj.pop()
+            iou_traj.pop()
+        params[idx] = batch
+        diverged = True
+        break
 
+    # A diverged run's trajectories repeat its last finite state.
+    pad = config.steps + 1 - len(loss_traj)
+    loss_traj += loss_traj[-1:] * pad
+    iou_traj += iou_traj[-1:] * pad
     return FitResult(
         mean_iou_initial=iou_traj[0],
         mean_iou_final=iou_traj[-1],

@@ -113,11 +113,13 @@ def grad_iou_loss(pred: Box, target: Box) -> GradVector:
     h = pred.ymax - pred.ymin
     darea = (-h, -w, h, w)
 
-    out = []
-    for di_p, da_p in zip(di, darea):
-        du_p = da_p - di_p
-        out.append(-(union * di_p - inter * du_p) / (union * union))
-    return GradVector(*out)
+    num = [-(union * di_p - inter * (da_p - di_p)) for di_p, da_p in zip(di, darea)]
+    den = union * union
+    if den == 0.0:
+        # union * union underflowed: divide as IEEE 754 does, like the array row.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return GradVector(*(np.array(num) / den).tolist())
+    return GradVector(*(n / den for n in num))
 
 
 @_IEEE

@@ -53,8 +53,7 @@ class SweepConfig:
             raise ValueError("x_center_end must exceed x_center_start")
         if self.num_samples < 2:
             raise ValueError(f"num_samples must be >= 2, got {self.num_samples}")
-        if self.delta <= 0 or not math.isfinite(self.delta):
-            raise ValueError(f"delta must be finite and positive, got {self.delta}")
+        HuberParams(self.delta)
 
 
 @dataclass(frozen=True)

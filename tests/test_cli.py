@@ -1,14 +1,15 @@
 """Command line behavior: outputs, formats, exit codes, seed resolution, and
 manifest replay. Everything runs in process through main(argv)."""
 
+import argparse
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from boxloss import SweepConfig, sweep, sweep_mismatch
-from boxloss.cli import main
+from boxloss import FitConfig, SweepConfig, sweep, sweep_mismatch
+from boxloss.cli import _build_parser, main
 
 
 def _read(path: Path) -> list[str]:
@@ -154,6 +155,25 @@ class TestGradcheckCommand:
             assert exc.value.code == 2
 
 
+# Each fit flag, a non-default value, and the config keys it sets.
+_FIT_FLAG_CASES = [
+    ("--num-pairs", "3", {"num_pairs": 3, "batch_size": 3}),
+    ("--frame", "0,0,40,60", {"frame": [0.0, 0.0, 40.0, 60.0]}),
+    ("--size-range", "4,9", {"target_size_min": 4.0, "target_size_max": 9.0}),
+    ("--translation-sigma", "0.2", {"translation_sigma": 0.2}),
+    ("--scale-sigma", "0.05", {"scale_sigma": 0.05}),
+    ("--regime", "overlapping", {"regime": "overlapping"}),
+    ("--loss", "huber", {"loss": "huber"}),
+    ("--delta", "2.5", {"delta": 2.5}),
+    ("--optimizer", "plain_gd", {"optimizer": "plain_gd"}),
+    ("--lr", "0.01", {"learning_rate": 0.01}),
+    ("--momentum-or-decay", "0.5", {"momentum_or_decay": 0.5}),
+    ("--steps", "3", {"steps": 3}),
+    ("--seed", "4", {"seed": 4}),
+    ("--batch-size", "2", {"batch_size": 2}),
+]
+
+
 class TestFitCommand:
     def _run(self, tmp_path, *extra):
         outdir = tmp_path / "run"
@@ -194,10 +214,11 @@ class TestFitCommand:
         # single seed: stddev is exactly zero
         assert cells[2] == "0.0"
 
-    def test_compare_writes_matched_runs(self, tmp_path):
+    def test_compare_writes_matched_runs(self, tmp_path, capsys):
         outdir = self._run(
             tmp_path, "--compare", "huber,smooth_iou", "--seeds", "2", "--seed", "0"
         )
+        assert capsys.readouterr().err == ""  # no run diverged
         expected = {
             "trajectory_huber_seed0.csv",
             "trajectory_huber_seed1.csv",
@@ -264,6 +285,50 @@ class TestFitCommand:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
+            assert not Path(out).exists(), argv
+
+    @pytest.mark.parametrize("flag, value, expected", _FIT_FLAG_CASES)
+    def test_flag_lands_under_its_config_key(
+        self, tmp_path, monkeypatch, flag, value, expected
+    ):
+        monkeypatch.delenv("BOXLOSS_SEED", raising=False)
+        outdir = tmp_path / "run"
+        argv = ["fit", "--out", str(outdir), "--num-pairs", "4", "--steps", "2", flag, value]
+        assert main(argv) == 0
+        config = json.loads((outdir / "manifest.json").read_text())["config"]
+        defaults = FitConfig()
+        for key, want in expected.items():
+            assert config[key] == want
+            default = getattr(defaults, "loss_kind" if key == "loss" else key)
+            assert want != getattr(default, "value", default), "pick a non-default value"
+
+    def test_every_fit_flag_is_covered(self):
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {opt for action in sub.choices["fit"]._actions for opt in action.option_strings}
+        others = {"-h", "--help", "--out", "--config", "--compare", "--seeds"}
+        assert flags - others == {flag for flag, _, _ in _FIT_FLAG_CASES}
+
+    def test_divergence_warns_on_stderr(self, tmp_path, capsys):
+        outdir = self._run(
+            tmp_path,
+            "--compare",
+            "huber,iou",
+            "--seeds",
+            "2",
+            "--seed",
+            "3",
+            "--optimizer",
+            "plain_gd",
+            "--lr",
+            "1e308",
+        )
+        err = capsys.readouterr().err
+        # The IoU runs stay finite: one step throws their boxes onto the plateau,
+        # where the gradient is zero.
+        assert err.endswith(": huber seed 3, huber seed 4\n")
+        assert err.startswith("warning: ") and err.count("\n") == 1
+        assert (outdir / "summary.csv").exists()
 
 
 class TestConfigFile:
@@ -442,10 +507,22 @@ class TestRerun:
                     "deltas": None,
                 },
             },
+            {
+                "command": "profile",
+                "config": {
+                    "out": "p.csv",
+                    "delta": 1.0,
+                    "mismatch_scale": 1.0,
+                    "samples": 11,
+                    "deltas": None,
+                },
+                "version": "0.0.0",
+            },
         ],
-        ids=["not_an_object", "null_config", "missing_keys", "wrong_type"],
+        ids=["not_an_object", "null_config", "missing_keys", "wrong_type", "wrong_version"],
     )
-    def test_malformed_manifest_exits_2(self, tmp_path, capsys, manifest):
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys, monkeypatch, manifest):
+        monkeypatch.chdir(tmp_path)  # where a replay would write p.csv
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest))
         with pytest.raises(SystemExit) as exc:

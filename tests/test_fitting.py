@@ -177,6 +177,17 @@ class TestFit:
         assert all(math.isfinite(v) for v in result.iou_trajectory)
         for box in result.final_predicted:
             assert box.xmax >= box.xmin and box.ymax >= box.ymin
+        # From the diverging step on, both trajectories repeat the last finite state.
+        last = len(result.loss_trajectory) - 1
+        d = result.loss_trajectory.index(result.loss_trajectory[-1])
+        assert 0 < d < last
+        assert len(set(result.loss_trajectory[d:])) == 1
+        assert len(set(result.iou_trajectory[d:])) == 1
+        finite = fit(replace(config, steps=d))
+        assert not finite.diverged
+        assert finite.loss_trajectory == result.loss_trajectory[: d + 1]
+        assert finite.iou_trajectory == result.iou_trajectory[: d + 1]
+        assert fit(replace(config, steps=d + 1)).diverged
 
     @pytest.mark.parametrize("kind", ["huber", "squared", "smooth_iou"])
     def test_overflowing_learning_rate_diverges(self, kind):
