@@ -83,6 +83,7 @@ def grad_squared(pred: Box, target: Box) -> GradVector:
     return GradVector(*(p - t for p, t in zip(pred.corners(), target.corners())))
 
 
+@_IEEE
 def grad_iou_loss(pred: Box, target: Box) -> GradVector:
     """Quotient-rule gradient of 1 - IoU.
 
@@ -114,12 +115,8 @@ def grad_iou_loss(pred: Box, target: Box) -> GradVector:
     darea = (-h, -w, h, w)
 
     num = [-(union * di_p - inter * (da_p - di_p)) for di_p, da_p in zip(di, darea)]
-    den = union * union
-    if den == 0.0:
-        # union * union underflowed: divide as IEEE 754 does, like the array row.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return GradVector(*(np.array(num) / den).tolist())
-    return GradVector(*(n / den for n in num))
+    # IEEE division, like the array row, where union * union underflows to 0.
+    return GradVector(*(np.array(num) / (union * union)).tolist())
 
 
 @_IEEE

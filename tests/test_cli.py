@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from boxloss import FitConfig, SweepConfig, sweep, sweep_mismatch
+from boxloss import FitConfig, SweepConfig, __version__, sweep, sweep_mismatch
 from boxloss.cli import _build_parser, main
 
 
@@ -492,43 +492,55 @@ class TestRerun:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
-        "manifest",
+        ("manifest", "message"),
         [
-            ["fit", {}],
-            {"command": "fit", "config": None},
-            {"command": "profile", "config": {"out": "p.csv", "delta": 1.0}},
-            {
-                "command": "profile",
-                "config": {
-                    "out": "p.csv",
-                    "delta": 1.0,
-                    "mismatch_scale": 1.0,
-                    "samples": "11",
-                    "deltas": None,
+            (["fit", {}], "manifest must be a JSON object"),
+            ({"command": "fit", "config": None}, "manifest config must be a JSON object"),
+            (
+                {"command": "profile", "config": {"out": "p.csv", "delta": 1.0}},
+                "manifest config lacks",
+            ),
+            (
+                {
+                    "command": "profile",
+                    "config": {
+                        "out": "p.csv",
+                        "delta": 1.0,
+                        "mismatch_scale": 1.0,
+                        "samples": "11",
+                        "deltas": None,
+                    },
+                    "version": __version__,
                 },
-            },
-            {
-                "command": "profile",
-                "config": {
-                    "out": "p.csv",
-                    "delta": 1.0,
-                    "mismatch_scale": 1.0,
-                    "samples": 11,
-                    "deltas": None,
+                "wrong type",
+            ),
+            (
+                {
+                    "command": "profile",
+                    "config": {
+                        "out": "p.csv",
+                        "delta": 1.0,
+                        "mismatch_scale": 1.0,
+                        "samples": 11,
+                        "deltas": None,
+                    },
+                    "version": "0.0.0",
                 },
-                "version": "0.0.0",
-            },
+                "is from boxloss",
+            ),
         ],
         ids=["not_an_object", "null_config", "missing_keys", "wrong_type", "wrong_version"],
     )
-    def test_malformed_manifest_exits_2(self, tmp_path, capsys, monkeypatch, manifest):
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys, monkeypatch, manifest, message):
         monkeypatch.chdir(tmp_path)  # where a replay would write p.csv
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest))
         with pytest.raises(SystemExit) as exc:
             main(["rerun", str(path)])
         assert exc.value.code == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
         assert not (tmp_path / "p.csv").exists()
 
 
