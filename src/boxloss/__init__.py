@@ -7,107 +7,21 @@ sweeps, and a synthetic gradient-descent fitting harness. The same
 functionality is exposed through the ``boxloss`` command line tool.
 """
 
-from .boxes import (
-    Box,
-    BoxBatch,
-    BoxYXHW,
-    area,
-    intersection_dims,
-    iou,
-    iou_pixel_oracle,
-    to_yxhw,
-    transform,
-)
-from .fitting import (
-    ComparisonResult,
-    ComparisonRow,
-    FitConfig,
-    FitResult,
-    InfeasibleDatasetError,
-    OptimizerKind,
-    OverlapRegime,
-    compare_losses,
-    fit,
-    generate_dataset,
-)
-from .gradients import (
-    REGIMES,
-    GradCheckConfig,
-    GradCheckResult,
-    GradVector,
-    finite_diff_check,
-    grad_huber,
-    grad_iou_loss,
-    grad_smooth_iou,
-    grad_squared,
-)
-from .losses import (
-    HuberParams,
-    LossKind,
-    LossReport,
-    huber_box,
-    huber_scalar,
-    iou_loss,
-    loss_batch,
-    smooth_iou_batch,
-    squared_box,
-)
-from .profiles import (
-    DEFAULT_DELTAS,
-    SweepConfig,
-    SweepRow,
-    convexity_violations,
-    delta_study,
-    sweep,
-    sweep_mismatch,
-)
+from . import boxes, fitting, gradients, losses, profiles
+from .boxes import *  # noqa: F403
+from .fitting import *  # noqa: F403
+from .gradients import *  # noqa: F403
+from .losses import *  # noqa: F403
+from .profiles import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is the one list of its public names.
 __all__ = [
-    "Box",
-    "BoxBatch",
-    "BoxYXHW",
-    "area",
-    "intersection_dims",
-    "iou",
-    "iou_pixel_oracle",
-    "to_yxhw",
-    "transform",
-    "HuberParams",
-    "LossKind",
-    "LossReport",
-    "huber_box",
-    "huber_scalar",
-    "iou_loss",
-    "loss_batch",
-    "smooth_iou_batch",
-    "squared_box",
-    "REGIMES",
-    "GradCheckConfig",
-    "GradCheckResult",
-    "GradVector",
-    "finite_diff_check",
-    "grad_huber",
-    "grad_iou_loss",
-    "grad_smooth_iou",
-    "grad_squared",
-    "DEFAULT_DELTAS",
-    "SweepConfig",
-    "SweepRow",
-    "convexity_violations",
-    "delta_study",
-    "sweep",
-    "sweep_mismatch",
-    "ComparisonResult",
-    "ComparisonRow",
-    "FitConfig",
-    "FitResult",
-    "InfeasibleDatasetError",
-    "OptimizerKind",
-    "OverlapRegime",
-    "compare_losses",
-    "fit",
-    "generate_dataset",
+    *boxes.__all__,
+    *losses.__all__,
+    *gradients.__all__,
+    *profiles.__all__,
+    *fitting.__all__,
     "__version__",
 ]

@@ -17,8 +17,6 @@ __all__ = [
     "area",
     "intersection_dims",
     "iou",
-    "overlap_array",
-    "iou_array",
     "iou_pixel_oracle",
 ]
 
@@ -177,14 +175,21 @@ def overlap_array(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise (overlap width, overlap height, intersection, union) of two
     (K, 4) corner arrays, each bitwise equal to the scalar code's value."""
-    iw = np.minimum(pred[:, 2], target[:, 2]) - np.maximum(pred[:, 0], target[:, 0])
-    ih = np.minimum(pred[:, 3], target[:, 3]) - np.maximum(pred[:, 1], target[:, 1])
+    iw, ih = _signed_overlap(pred, target)
     # max(0.0, x) in Python keeps 0.0 for x = -0.0, which np.maximum may not.
     iw = np.where(iw > 0.0, iw, 0.0)
     ih = np.where(ih > 0.0, ih, 0.0)
     inter = iw * ih
     union = _area_rows(pred) + _area_rows(target) - inter
     return iw, ih, inter, union
+
+
+def _signed_overlap(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise overlap width and height of two (K, 4) corner arrays, not
+    clamped: negative where the boxes are apart along that axis."""
+    iw = np.minimum(pred[:, 2], target[:, 2]) - np.maximum(pred[:, 0], target[:, 0])
+    ih = np.minimum(pred[:, 3], target[:, 3]) - np.maximum(pred[:, 1], target[:, 1])
+    return iw, ih
 
 
 def _area_rows(corners: np.ndarray) -> np.ndarray:

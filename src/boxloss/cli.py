@@ -12,6 +12,7 @@ byte for byte. Numbers are written with shortest round-trip precision.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -52,6 +53,10 @@ _FIT_HELP = {
     "learning_rate": "learning rate",
     "momentum_or_decay": "momentum (plain_gd) or squared-gradient decay (rmsprop_like)",
 }
+# Defaults of the gradcheck and profile flags that are arguments, not config
+# fields, read once at import from the library functions' signatures.
+_CHECK_ARGS = inspect.signature(finite_diff_check).parameters
+_SWEEP_ARGS = inspect.signature(sweep_mismatch).parameters
 
 
 def _fmt(value: float) -> str:
@@ -387,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mismatch-scale",
         type=float,
-        default=1.0,
+        default=_SWEEP_ARGS["scale"].default,
         help="multiply the sliding box's size by this factor",
     )
     p.add_argument(
@@ -416,8 +421,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=GradCheckConfig.num_samples,
         help="random pairs to sample",
     )
-    g.add_argument("--step", type=float, default=1e-5, help="central-difference step")
-    g.add_argument("--tol", type=float, default=1e-4, help="max allowed relative error")
+    step, tol = _CHECK_ARGS["step"].default, _CHECK_ARGS["tolerance"].default
+    g.add_argument("--step", type=float, default=step, help="central-difference step")
+    g.add_argument("--tol", type=float, default=tol, help="max allowed relative error")
     g.add_argument("--seed", type=int, default=None, help="sampler seed")
     g.add_argument(
         "--regime", default=GradCheckConfig.regime, choices=REGIMES, help="overlap regime"

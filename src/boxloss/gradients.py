@@ -18,18 +18,19 @@ one-sided slopes rather than either convention.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import _IEEE, Box, BoxBatch, area, intersection_dims, iou_array, overlap_array
+from .boxes import _IEEE, Box, BoxBatch, _signed_overlap, area, intersection_dims
+from .boxes import iou_array, overlap_array
 # Unused here; bench/worker.py's traced run replaces iou on this module by name.
 from .boxes import iou  # noqa: F401
 from .losses import _LOSSES, HuberParams, LossKind, _blend, _blend_weight
 
 __all__ = [
+    "REGIMES",
     "GradVector",
     "GradCheckConfig",
     "GradCheckResult",
@@ -46,8 +47,8 @@ _COORD_NAMES = ("xmin", "ymin", "xmax", "ymax")
 # OverlapRegime, which filters perturbed pairs only by IoU > 0 or IoU = 0.
 REGIMES = ("mixed", "partial", "nested", "shifted", "disjoint")
 
-# finite_diff_check evaluates the sample pairs that pass its kink filter in
-# batches of this many, so its memory does not grow with num_samples.
+# finite_diff_check samples, kink-filters and evaluates pairs in batches of
+# this many, so its memory does not grow with num_samples.
 _CHECK_CHUNK = 4096
 
 
@@ -206,8 +207,9 @@ class GradCheckResult:
     num_skipped_near_kink: int
 
 
-def _sample_pair(rng: np.random.Generator, regime: str) -> tuple[Box, Box]:
-    """Draw one (pred, target) pair in the given overlap regime."""
+def _sample_pair(rng: np.random.Generator, regime: str) -> tuple[float, ...]:
+    """Draw one pair in the given overlap regime: the predicted box's four
+    corners, then the target's."""
     if regime == "mixed":
         regime = REGIMES[1 + int(rng.integers(0, 4))]
 
@@ -215,7 +217,6 @@ def _sample_pair(rng: np.random.Generator, regime: str) -> tuple[Box, Box]:
     h = float(rng.uniform(6.0, 24.0))
     cx = float(rng.uniform(30.0, 70.0))
     cy = float(rng.uniform(30.0, 70.0))
-    target = Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
 
     if regime == "nested":
         pw = w * float(rng.uniform(0.3, 0.7))
@@ -247,23 +248,18 @@ def _sample_pair(rng: np.random.Generator, regime: str) -> tuple[Box, Box]:
         raise ValueError(f"unknown regime {regime!r}")
 
     px, py = cx + dx, cy + dy
-    pred = Box(px - pw / 2, py - ph / 2, px + pw / 2, py + ph / 2)
-    return pred, target
+    pred = (px - pw / 2, py - ph / 2, px + pw / 2, py + ph / 2)
+    return pred + (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
 
 
-def _near_kink(pred: Box, target: Box, delta: float, margin: float) -> bool:
-    """True when any coordinate sits within `margin` of a non-smooth point."""
-    for p, t in zip(pred.corners(), target.corners()):
-        z = p - t
-        if abs(abs(z) - delta) <= margin:
-            return True
-        if abs(z) <= margin:
-            return True
-    iw = min(pred.xmax, target.xmax) - max(pred.xmin, target.xmin)
-    ih = min(pred.ymax, target.ymax) - max(pred.ymin, target.ymin)
-    if abs(iw) <= margin or abs(ih) <= margin:
-        return True
-    return False
+@_IEEE
+def _near_kink(pred: np.ndarray, target: np.ndarray, delta: float, margin: float) -> np.ndarray:
+    """(N,) mask of the pairs, given as (N, 4) corner arrays, with any
+    coordinate within `margin` of a non-smooth point."""
+    z = np.abs(pred - target)
+    iw, ih = _signed_overlap(pred, target)
+    near = (np.abs(z - delta) <= margin) | (z <= margin)
+    return near.any(axis=1) | (np.abs(iw) <= margin) | (np.abs(ih) <= margin)
 
 
 @_IEEE
@@ -321,19 +317,14 @@ def finite_diff_check(
     rng = np.random.default_rng(config.seed)
     margin = 10.0 * step
 
-    def kept_pairs():
-        for _ in range(config.num_samples):
-            pred, target = _sample_pair(rng, config.regime)
-            if not _near_kink(pred, target, params.delta, margin):
-                yield pred.corners() + target.corners()
-
     checked = 0
     max_err = 0.0
-    pairs = kept_pairs()
-    while chunk := list(itertools.islice(pairs, _CHECK_CHUNK)):
-        rows = np.array(chunk)
+    for start in range(0, config.num_samples, _CHECK_CHUNK):
+        size = min(_CHECK_CHUNK, config.num_samples - start)
+        rows = np.array([_sample_pair(rng, config.regime) for _ in range(size)])
+        rows = rows[~_near_kink(rows[:, :4], rows[:, 4:], params.delta, margin)]
         max_err = _max_error(kind, rows[:, :4], rows[:, 4:], step, params, max_err)
-        checked += len(chunk)
+        checked += len(rows)
 
     return GradCheckResult(
         max_relative_error=max_err,

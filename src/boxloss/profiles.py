@@ -11,7 +11,7 @@ the convex Huber and squared curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -31,8 +31,6 @@ __all__ = [
 ]
 
 DEFAULT_DELTAS = (1.0, 1.25, 1.5, 1.75, 2.0)
-
-_ROW_COLUMNS = ("huber", "squared", "iou_loss", "smooth_iou", "iou")
 
 
 @dataclass(frozen=True)
@@ -64,6 +62,9 @@ class SweepRow:
     iou_loss: float
     smooth_iou: float
     iou: float
+
+
+_ROW_COLUMNS = tuple(f.name for f in fields(SweepRow) if f.name != "x_center")
 
 
 def _grid(start: float, end: float, n: int) -> list[float]:

@@ -1,0 +1,93 @@
+"""The package's public surface: the names `boxloss` exports, where they come
+from, and the version the command line reports."""
+
+import types
+
+import pytest
+
+import boxloss
+from boxloss import boxes, fitting, gradients, losses, profiles
+from boxloss.cli import main
+
+PUBLIC_NAMES = {
+    # boxes
+    "Box",
+    "BoxBatch",
+    "BoxYXHW",
+    "area",
+    "intersection_dims",
+    "iou",
+    "iou_pixel_oracle",
+    "to_yxhw",
+    "transform",
+    # losses
+    "HuberParams",
+    "LossKind",
+    "LossReport",
+    "huber_box",
+    "huber_scalar",
+    "iou_loss",
+    "loss_batch",
+    "smooth_iou_batch",
+    "squared_box",
+    # gradients
+    "REGIMES",
+    "GradCheckConfig",
+    "GradCheckResult",
+    "GradVector",
+    "finite_diff_check",
+    "grad_huber",
+    "grad_iou_loss",
+    "grad_smooth_iou",
+    "grad_squared",
+    # profiles
+    "DEFAULT_DELTAS",
+    "SweepConfig",
+    "SweepRow",
+    "convexity_violations",
+    "delta_study",
+    "sweep",
+    "sweep_mismatch",
+    # fitting
+    "ComparisonResult",
+    "ComparisonRow",
+    "FitConfig",
+    "FitResult",
+    "InfeasibleDatasetError",
+    "OptimizerKind",
+    "OverlapRegime",
+    "compare_losses",
+    "fit",
+    "generate_dataset",
+    "__version__",
+}
+
+
+def test_public_names_are_pinned():
+    assert set(boxloss.__all__) == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 45
+
+
+def test_public_names_are_unique_and_resolve():
+    assert len(boxloss.__all__) == len(set(boxloss.__all__))
+    for name in boxloss.__all__:
+        getattr(boxloss, name)
+
+
+def test_package_exports_exactly_the_modules_public_names():
+    modules = (boxes, losses, gradients, profiles, fitting)
+    declared = {name for module in modules for name in module.__all__}
+    assert set(boxloss.__all__) == declared | {"__version__"}
+    public_attrs = {
+        name
+        for name in dir(boxloss)
+        if not name.startswith("_") and not isinstance(getattr(boxloss, name), types.ModuleType)
+    }
+    assert public_attrs == declared
+
+
+def test_version_flag_prints_package_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"boxloss {boxloss.__version__}\n"
