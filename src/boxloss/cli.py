@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import operator
 import os
 import sys
 import typing
@@ -32,7 +33,9 @@ __all__ = ["main"]
 
 _ENV_SEED = "BOXLOSS_SEED"
 
-_SWEEP_HEADER = "x_center,iou,huber,squared,iou_loss,smooth_iou"
+# The profile CSV's columns, in order: the header and every row.
+_SWEEP_COLUMNS = ("x_center", "iou", "huber", "squared", "iou_loss", "smooth_iou")
+_sweep_cells = operator.attrgetter(*_SWEEP_COLUMNS)
 _TRAJECTORY_HEADER = "step,loss,mean_iou"
 _SUMMARY_HEADER = "loss_kind,mean_final_iou,stddev_final_iou,mean_initial_iou"
 
@@ -72,15 +75,7 @@ def _write_lines(path: str | Path, lines: list[str]) -> None:
 
 
 def _sweep_lines(rows: list[SweepRow]) -> list[str]:
-    lines = [_SWEEP_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (r.x_center, r.iou, r.huber, r.squared, r.iou_loss, r.smooth_iou)
-            )
-        )
-    return lines
+    return [",".join(_SWEEP_COLUMNS)] + [",".join(map(_fmt, _sweep_cells(r))) for r in rows]
 
 
 def _write_manifest(
@@ -386,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("profile", help="write sliding-box loss profiles as CSV")
-    p.set_defaults(run=_cmd_profile)
+    p.set_defaults(run=_cmd_profile, parser=p)
     p.add_argument("--out", required=True, help="output CSV path (or stem for --deltas)")
     p.add_argument("--delta", type=float, default=SweepConfig.delta, help="Huber threshold")
     p.add_argument(
@@ -408,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     g = sub.add_parser("gradcheck", help="verify analytic gradients by finite differences")
-    g.set_defaults(run=_cmd_gradcheck)
+    g.set_defaults(run=_cmd_gradcheck, parser=g)
     g.add_argument(
         "--loss",
         default="all",
@@ -430,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     f = sub.add_parser("fit", help="fit perturbed boxes back onto synthetic targets")
-    f.set_defaults(run=_cmd_fit)
+    f.set_defaults(run=_cmd_fit, parser=f)
     f.add_argument("--out", required=True, help="output directory")
     f.add_argument("--config", default=None, help="flat `key = value` config file")
     f.add_argument("--compare", default=None, help="comma-separated loss kinds to compare")
@@ -446,17 +441,17 @@ def _build_parser() -> argparse.ArgumentParser:
         f.add_argument(flag, dest=key, default=None, help=_FIT_HELP.get(key), **kwargs)
 
     r = sub.add_parser("rerun", help="replay a recorded manifest byte for byte")
-    r.set_defaults(run=_cmd_rerun)
+    r.set_defaults(run=_cmd_rerun, parser=r)
     r.add_argument("manifest", help="path to a manifest.json written by a previous run")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.run(args, parser)
+        # Each subcommand reports its errors with its own parser's usage line.
+        return args.run(args, args.parser)
     except InfeasibleDatasetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

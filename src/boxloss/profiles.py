@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .boxes import Box, iou_array
+from .boxes import _IEEE, Box, iou_array
 # Unused here; bench/worker.py's traced run replaces iou on this module by name.
 from .boxes import iou  # noqa: F401
 from .losses import _LOSSES, HuberParams, LossKind
@@ -131,27 +131,34 @@ def delta_study(
     return {d: sweep(replace(config, delta=d)) for d in deltas}
 
 
-def convexity_violations(rows: list[SweepRow], column: str) -> list[tuple[int, int, int]]:
+@_IEEE
+def convexity_violations(rows: list[SweepRow], column: str) -> np.ndarray:
     """Exhaustively scan grid triples i < j < k for convexity violations.
 
     For each triple, the interpolation weight t satisfies
     x_j = t * x_i + (1 - t) * x_k; a violation means
-    f(x_j) > t * f(x_i) + (1 - t) * f(x_k) + 1e-9. A convex column returns
-    an empty list; the IoU-loss plateau produces violations.
+    f(x_j) > t * f(x_i) + (1 - t) * f(x_k) + 1e-9. Returns an (M, 3) int32
+    array of violating triples, columns i, j, k, ordered by i, then k, then
+    j; 12 bytes per triple. A convex column, or fewer than 3 rows, gives a
+    (0, 3) array; the IoU-loss plateau produces violations. Each i is one
+    broadcast over its (k, j) triangle.
     """
     if column not in _ROW_COLUMNS:
         raise ValueError(f"unknown column {column!r}, expected one of {_ROW_COLUMNS}")
-    if len(rows) < 3:
-        return []
+    n = len(rows)
     xs = np.array([r.x_center for r in rows])
     ys = np.array([getattr(r, column) for r in rows])
-    out: list[tuple[int, int, int]] = []
-    n = len(rows)
+    # Cell (a, b) of i's block is k = i + 2 + a, j = i + 1 + b; j < k is b <= a.
+    below = np.tri(max(n - 2, 0), dtype=bool)
+    blocks = [np.empty((0, 3), dtype=np.int32)]
     for i in range(n - 2):
-        for k in range(i + 2, n):
-            js = np.arange(i + 1, k)
-            t = (xs[k] - xs[js]) / (xs[k] - xs[i])
-            bound = t * ys[i] + (1.0 - t) * ys[k]
-            bad = js[ys[js] > bound + 1e-9]
-            out.extend((i, int(j), k) for j in bad)
-    return out
+        x_k, y_k = xs[i + 2 :, None], ys[i + 2 :, None]
+        t = (x_k - xs[i + 1 : -1]) / (x_k - xs[i])
+        bound = t * ys[i] + (1.0 - t) * y_k
+        a, b = np.nonzero(below[i:, i:] & (ys[i + 1 : -1] > bound + 1e-9))
+        block = np.empty((a.size, 3), dtype=np.int32)
+        block[:, 0] = i
+        block[:, 1] = b + (i + 1)
+        block[:, 2] = a + (i + 2)
+        blocks.append(block)
+    return np.concatenate(blocks)

@@ -228,8 +228,8 @@ def test_criterion_6_convexity_violations():
     rows = sweep()
     plateau_violations = convexity_violations(rows, "iou_loss")
     assert len(plateau_violations) > 0
-    assert convexity_violations(rows, "huber") == []
-    assert convexity_violations(rows, "squared") == []
+    assert len(convexity_violations(rows, "huber")) == 0
+    assert len(convexity_violations(rows, "squared")) == 0
 
     print(
         "criterion 6 PASS: iou_loss column yields "

@@ -154,6 +154,12 @@ class TestGradcheckCommand:
                 main(argv)
             assert exc.value.code == 2
 
+    def test_library_error_prints_subcommand_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--step", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: boxloss gradcheck")
+
 
 # Each fit flag, a non-default value, and the config keys it sets.
 _FIT_FLAG_CASES = [

@@ -2,9 +2,13 @@
 the scale-mismatch law, the delta study, and the convexity scanner."""
 
 import math
+import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from boxloss import (
     DEFAULT_DELTAS,
@@ -19,6 +23,70 @@ from boxloss import (
 
 ROWS = sweep()
 BY_X = {row.x_center: row for row in ROWS}
+COLUMNS = ("huber", "squared", "iou_loss", "smooth_iou", "iou")
+
+
+def _reference_scan(rows, column):
+    """The scan as one Python loop per (i, k): triples (i, j, k) in that order."""
+    xs = np.array([r.x_center for r in rows])
+    ys = np.array([getattr(r, column) for r in rows])
+    out = []
+    n = len(rows)
+    for i in range(n - 2):
+        for k in range(i + 2, n):
+            js = np.arange(i + 1, k)
+            t = (xs[k] - xs[js]) / (xs[k] - xs[i])
+            bound = t * ys[i] + (1.0 - t) * ys[k]
+            bad = js[ys[js] > bound + 1e-9]
+            out.extend((i, int(j), k) for j in bad)
+    return out
+
+
+def _scan(rows, column):
+    """convexity_violations, checked for its shape and dtype and for warnings."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = convexity_violations(rows, column)
+    assert result.dtype == np.int32
+    assert result.shape == (len(result), 3)
+    return result
+
+
+def _matches_reference(rows, column):
+    # The loop's own inf - inf and 0 * inf warn; only its triples matter here.
+    with np.errstate(all="ignore"):
+        expected = _reference_scan(rows, column)
+    return _scan(rows, column).tolist() == [list(triple) for triple in expected]
+
+
+_TIE = 1e-9
+# Column values: the special floats, free values, a repeat of the previous
+# value (plateaus and steps), and points on a line nudged around the slack.
+_SPECIAL = st.sampled_from([0.0, 1.0, -1.0, _TIE, math.nan, math.inf, -math.inf])
+_NUDGE = st.sampled_from(
+    [0.0, _TIE, -_TIE, math.nextafter(_TIE, math.inf), math.nextafter(_TIE, 0.0), 2 * _TIE]
+)
+
+
+@st.composite
+def _scan_case(draw):
+    start = draw(st.floats(-100.0, 100.0))
+    span = draw(st.floats(1e-3, 100.0))
+    n = draw(st.integers(2, 24))
+    config = SweepConfig(x_center_start=start, x_center_end=start + span, num_samples=n)
+    slope, offset = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+    ys: list[float] = []
+    for row in sweep(config)[: draw(st.integers(0, n))]:
+        pick = draw(st.integers(0, 3))
+        if pick == 0:
+            ys.append(draw(_SPECIAL))
+        elif pick == 1:
+            ys.append(draw(st.floats(-10.0, 10.0)))
+        elif pick == 2 and ys:
+            ys.append(ys[-1])
+        else:
+            ys.append(slope * row.x_center + offset + draw(_NUDGE))
+    return config, draw(st.sampled_from(COLUMNS)), ys
 
 
 class TestGrid:
@@ -185,8 +253,8 @@ class TestConvexityScan:
             assert ys[j] > t * ys[i] + (1.0 - t) * ys[k] + 1e-9
 
     def test_huber_and_squared_are_convex_on_the_grid(self):
-        assert convexity_violations(ROWS, "huber") == []
-        assert convexity_violations(ROWS, "squared") == []
+        assert len(convexity_violations(ROWS, "huber")) == 0
+        assert len(convexity_violations(ROWS, "squared")) == 0
 
     def test_smooth_column_violates_convexity(self):
         # The blend inherits the plateau from its IoU term.
@@ -199,7 +267,47 @@ class TestConvexityScan:
             convexity_violations(ROWS, "loss")
 
     def test_short_input(self):
-        assert convexity_violations(ROWS[:2], "huber") == []
+        assert len(convexity_violations(ROWS[:2], "huber")) == 0
+        for n in (0, 1, 2):
+            assert _scan(ROWS[:n], "iou").shape == (0, 3)
+
+    def test_counts_at_default_grid(self):
+        counts = {column: len(_scan(ROWS, column)) for column in COLUMNS}
+        assert counts == {
+            "huber": 0,
+            "squared": 0,
+            "iou_loss": 252828,
+            "smooth_iou": 84262,
+            "iou": 341212,
+        }
+
+    @pytest.mark.parametrize("n", [21, 121, 161, 201])
+    def test_matches_reference_scan_on_sweeps(self, n):
+        rows = ROWS if n == 161 else sweep(SweepConfig(num_samples=n))
+        for column in COLUMNS:
+            assert _matches_reference(rows, column), column
+
+    def test_slack_is_strict(self):
+        rows = sweep(SweepConfig(x_center_start=0.0, x_center_end=2.0, num_samples=3))
+
+        def scan(y):
+            return _scan([replace(r, iou=v) for r, v in zip(rows, (0.0, y, 0.0))], "iou")
+
+        assert scan(_TIE).tolist() == []
+        assert scan(math.nextafter(_TIE, math.inf)).tolist() == [[0, 1, 2]]
+
+    @given(_scan_case())
+    # inf in row 0: the cells outside the triangle compute 0 * inf.
+    @example(case=(SweepConfig(num_samples=21), "iou", [math.inf] + [0.0] * 20))
+    @example(case=(SweepConfig(num_samples=6), "huber", [-math.inf, 1.0, math.inf] * 2))
+    @example(case=(SweepConfig(num_samples=5), "smooth_iou", [math.nan] * 5))
+    @example(case=(SweepConfig(num_samples=7), "iou_loss", [1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0]))
+    @example(case=(SweepConfig(num_samples=2), "squared", [1.0, 0.0]))
+    @example(case=(SweepConfig(num_samples=2), "squared", []))
+    def test_matches_reference_scan_on_random_columns(self, case):
+        config, column, ys = case
+        rows = [replace(r, **{column: y}) for r, y in zip(sweep(config), ys)]
+        assert _matches_reference(rows, column)
 
 
 class TestConfigValidation:
