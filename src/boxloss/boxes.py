@@ -196,6 +196,11 @@ def _area_rows(corners: np.ndarray) -> np.ndarray:
     return (corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1])
 
 
+def _corner_row(b: Box) -> np.ndarray:
+    """One box as a (1, 4) corner array: a single pair's input to the rows."""
+    return np.array([b.corners()])
+
+
 @_IEEE
 def iou_array(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Row-wise iou of two (K, 4) corner arrays, bitwise equal to iou per pair."""

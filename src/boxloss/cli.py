@@ -112,6 +112,8 @@ def _resolve_seed(flag_value, file_value, default: int) -> int:
 def _execute_profile(cfg: dict) -> list[str]:
     config = SweepConfig(delta=cfg["delta"], num_samples=cfg["samples"])
     out = cfg["out"]
+    if not isinstance(out, str):
+        raise TypeError(f"out must be a string, got {out!r}")
     stem = out[:-4] if out.endswith(".csv") else out
     outputs: list[str] = []
     if cfg["deltas"]:

@@ -11,13 +11,14 @@ a constant during differentiation.
 from __future__ import annotations
 
 import math
+import numbers
 import statistics
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .boxes import Box, BoxBatch, iou, iou_array
+from .boxes import _IEEE, Box, BoxBatch, iou, iou_array
 from .gradients import _PAIR_GRAD
 from .losses import _LOSSES, HuberParams, LossKind, _blend_weight
 
@@ -94,6 +95,10 @@ class FitConfig:
         object.__setattr__(self, "regime", OverlapRegime(self.regime))
         object.__setattr__(self, "loss_kind", LossKind(self.loss_kind))
         object.__setattr__(self, "optimizer", OptimizerKind(self.optimizer))
+        for name in ("num_pairs", "steps", "seed", "batch_size"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.num_pairs < 1:
             raise ValueError(f"num_pairs must be >= 1, got {self.num_pairs}")
         if not 0 < self.target_size_min <= self.target_size_max:
@@ -206,6 +211,7 @@ def generate_dataset(config: FitConfig) -> BoxBatch:
     return BoxBatch(tuple(predicted), tuple(targets))
 
 
+@_IEEE
 def fit(config: FitConfig) -> FitResult:
     """Descend on the predicted boxes' corner coordinates.
 
@@ -215,7 +221,7 @@ def fit(config: FitConfig) -> FitResult:
     validity. The recorded trajectories evaluate the configured loss and the
     mean IoU over the full dataset. If a coordinate ever turns non-finite,
     the step is rolled back, diverged is set, and the remaining trajectory
-    repeats the last finite state.
+    repeats the last finite state; overflow is therefore not an error.
     """
     params, targets = generate_dataset(config).arrays()
     state = np.zeros_like(params)
@@ -250,21 +256,18 @@ def fit(config: FitConfig) -> FitResult:
         batch, batch_targets = params[idx], targets[idx]
         lam = _blend_weight(iou_array(batch, batch_targets)) if smooth else 0.0
         g = grad(batch, batch_targets, lam, huber)
-        # Overflow here is not an error: non-finite results are detected
-        # below and trigger the rollback.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if config.optimizer is OptimizerKind.RMSPROP_LIKE:
-                batch_state = rho * state[idx] + (1.0 - rho) * g * g
-                moved = batch - lr * g / (np.sqrt(batch_state) + _RMSPROP_EPS)
-            else:
-                batch_state = rho * state[idx] + g
-                moved = batch - lr * batch_state
-            # Inverted coordinates collapse to their midpoint; degenerate is valid.
-            for lo, hi in ((0, 2), (1, 3)):
-                inverted = moved[:, hi] < moved[:, lo]
-                mid = 0.5 * (moved[inverted, lo] + moved[inverted, hi])
-                moved[inverted, lo] = mid
-                moved[inverted, hi] = mid
+        if config.optimizer is OptimizerKind.RMSPROP_LIKE:
+            batch_state = rho * state[idx] + (1.0 - rho) * g * g
+            moved = batch - lr * g / (np.sqrt(batch_state) + _RMSPROP_EPS)
+        else:
+            batch_state = rho * state[idx] + g
+            moved = batch - lr * batch_state
+        # Inverted coordinates collapse to their midpoint; degenerate is valid.
+        for lo, hi in ((0, 2), (1, 3)):
+            inverted = moved[:, hi] < moved[:, lo]
+            mid = 0.5 * (moved[inverted, lo] + moved[inverted, hi])
+            moved[inverted, lo] = mid
+            moved[inverted, hi] = mid
         state[idx] = batch_state
         params[idx] = moved
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import _IEEE, Box, BoxBatch, _signed_overlap, area, intersection_dims
-from .boxes import iou_array, overlap_array
+from .boxes import _IEEE, Box, BoxBatch, _corner_row, _signed_overlap, iou_array
+from .boxes import overlap_array
 # Unused here; bench/worker.py's traced run replaces iou on this module by name.
 from .boxes import iou  # noqa: F401
 from .losses import _LOSSES, HuberParams, LossKind, _blend, _blend_weight
@@ -65,26 +65,16 @@ class GradVector:
         return (self.d_xmin, self.d_ymin, self.d_xmax, self.d_ymax)
 
 
-_ZERO = GradVector(0.0, 0.0, 0.0, 0.0)
-
-
-def _huber_slope(z: float, delta: float) -> float:
-    if abs(z) < delta:
-        return z
-    return math.copysign(delta, z)
-
-
 def grad_huber(pred: Box, target: Box, params: HuberParams = HuberParams()) -> GradVector:
     """Componentwise z_i inside |z_i| < delta, else delta*sign(z_i)."""
-    zs = [p - t for p, t in zip(pred.corners(), target.corners())]
-    return GradVector(*(_huber_slope(z, params.delta) for z in zs))
+    grad = _grad_huber_rows(_corner_row(pred), _corner_row(target), params.delta)
+    return GradVector(*grad[0].tolist())
 
 
 def grad_squared(pred: Box, target: Box) -> GradVector:
-    return GradVector(*(p - t for p, t in zip(pred.corners(), target.corners())))
+    return GradVector(*_grad_squared_rows(_corner_row(pred), _corner_row(target))[0].tolist())
 
 
-@_IEEE
 def grad_iou_loss(pred: Box, target: Box) -> GradVector:
     """Quotient-rule gradient of 1 - IoU.
 
@@ -96,28 +86,7 @@ def grad_iou_loss(pred: Box, target: Box) -> GradVector:
     When the intersection area is zero the loss sits on its plateau and the
     gradient is exactly zero in every component.
     """
-    iw, ih = intersection_dims(pred, target)
-    if iw <= 0.0 or ih <= 0.0:
-        return _ZERO
-
-    inter = iw * ih
-    union = area(pred) + area(target) - inter
-
-    # Intersection width/height respond only to the binding predicted edge.
-    diw_dxmin = -1.0 if pred.xmin >= target.xmin else 0.0
-    diw_dxmax = 1.0 if pred.xmax <= target.xmax else 0.0
-    dih_dymin = -1.0 if pred.ymin >= target.ymin else 0.0
-    dih_dymax = 1.0 if pred.ymax <= target.ymax else 0.0
-
-    di = (ih * diw_dxmin, iw * dih_dymin, ih * diw_dxmax, iw * dih_dymax)
-
-    w = pred.xmax - pred.xmin
-    h = pred.ymax - pred.ymin
-    darea = (-h, -w, h, w)
-
-    num = [-(union * di_p - inter * (da_p - di_p)) for di_p, da_p in zip(di, darea)]
-    # IEEE division, like the array row, where union * union underflows to 0.
-    return GradVector(*(np.array(num) / (union * union)).tolist())
+    return GradVector(*_grad_iou_rows(_corner_row(pred), _corner_row(target))[0].tolist())
 
 
 @_IEEE
@@ -133,8 +102,8 @@ def _grad_squared_rows(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 @_IEEE
 def _grad_iou_rows(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """grad_iou_loss per row of two (K, 4) corner arrays, with the same
-    tie conventions and an exact zero row on the plateau."""
+    """Quotient-rule gradient of 1 - IoU per row of two (K, 4) corner arrays,
+    with the module's tie conventions and an exact zero row on the plateau."""
     iw, ih, inter, union = overlap_array(pred, target)
     w = pred[:, 2] - pred[:, 0]
     h = pred[:, 3] - pred[:, 1]
@@ -154,9 +123,11 @@ def _grad_iou_rows(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.where(plateau[:, None], 0.0, grad)
 
 
-# Per-pair gradients of each kind as a (K, 4) array, bitwise equal to the
-# scalar functions, over (K, 4) predicted and target corners at the blend
-# weight lam, a scalar or a (K, 1) array, which only the smooth kind reads.
+# Per-pair gradients of each kind as a (K, 4) array over (K, 4) predicted and
+# target corners at the blend weight lam, a scalar or a (K, 1) array, which
+# only the smooth kind reads. grad_huber, grad_squared and grad_iou_loss are
+# one-row calls of these rows; tests/reference.py is the independent
+# single-pair reference they are checked against bitwise.
 _PAIR_GRAD = {
     LossKind.HUBER: lambda p, t, lam, params: _grad_huber_rows(p, t, params.delta),
     LossKind.SQUARED: lambda p, t, lam, params: _grad_squared_rows(p, t),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
-from .boxes import _IEEE, Box, BoxBatch, iou, iou_array
+from .boxes import _IEEE, Box, BoxBatch, _corner_row, iou, iou_array
 
 __all__ = [
     "LossKind",
@@ -51,33 +51,30 @@ class HuberParams:
             raise ValueError(f"delta must be finite and positive, got {self.delta!r}")
 
 
+def _huber_terms(z, delta: float):
+    """Elementwise 0.5*z*z when |z| < delta, else delta*|z| - 0.5*delta*delta."""
+    a = np.abs(z)
+    return np.where(a < delta, 0.5 * z * z, delta * a - 0.5 * delta * delta)
+
+
+@_IEEE
 def huber_scalar(z: float, params: HuberParams = HuberParams()) -> float:
     """0.5*z**2 when |z| < delta, else delta*|z| - 0.5*delta**2.
 
     Both branches evaluate to 0.5*delta**2 at |z| = delta, so the function is
     continuous there.
     """
-    delta = params.delta
-    if abs(z) < delta:
-        return 0.5 * z * z
-    return delta * abs(z) - 0.5 * delta * delta
+    return float(_huber_terms(z, params.delta))
 
 
 def huber_box(pred: Box, target: Box, params: HuberParams = HuberParams()) -> float:
     """Per-coordinate Huber terms summed (not averaged) over the four corners."""
-    total = 0.0
-    for p, t in zip(pred.corners(), target.corners()):
-        total += huber_scalar(p - t, params)
-    return total
+    return float(_huber_rows(_corner_row(pred), _corner_row(target), params.delta)[0])
 
 
 def squared_box(pred: Box, target: Box) -> float:
     """Summed 0.5 * (pred_i - target_i)**2 over the four corner coordinates."""
-    total = 0.0
-    for p, t in zip(pred.corners(), target.corners()):
-        d = p - t
-        total += 0.5 * d * d
-    return total
+    return float(_squared_rows(_corner_row(pred), _corner_row(target))[0])
 
 
 def iou_loss(pred: Box, target: Box) -> float:
@@ -115,15 +112,13 @@ def _blend_weight(ious: np.ndarray) -> float:
 
 
 def _corner_sum(terms: np.ndarray) -> np.ndarray:
-    """Per-row sum of (K, 4) coordinate terms in the scalar losses' order."""
+    """Per-row sum of (K, 4) coordinate terms, left to right."""
     return terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
 
 
 @_IEEE
 def _huber_rows(pred: np.ndarray, target: np.ndarray, delta: float) -> np.ndarray:
-    z = pred - target
-    a = np.abs(z)
-    return _corner_sum(np.where(a < delta, 0.5 * z * z, delta * a - 0.5 * delta * delta))
+    return _corner_sum(_huber_terms(pred - target, delta))
 
 
 @_IEEE
@@ -132,10 +127,11 @@ def _squared_rows(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     return _corner_sum(0.5 * d * d)
 
 
-# Per-example losses of each kind as a (K,) array, bitwise equal to the scalar
-# functions, over (K, 4) predicted and target corners, given the pairs' IoUs
-# and the blend weight lam, a scalar or a (K,) array, which only the smooth
-# kind reads.
+# Per-example losses of each kind as a (K,) array over (K, 4) predicted and
+# target corners, given the pairs' IoUs and the blend weight lam, a scalar or
+# a (K,) array, which only the smooth kind reads. huber_box and squared_box
+# are one-row calls of these rows; tests/reference.py is the independent
+# single-pair reference they are checked against bitwise.
 _LOSSES = {
     LossKind.HUBER: lambda p, t, ious, lam, params: _huber_rows(p, t, params.delta),
     LossKind.SQUARED: lambda p, t, ious, lam, params: _squared_rows(p, t),

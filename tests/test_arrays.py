@@ -1,26 +1,35 @@
-"""The (K, 4) array kernel against the scalar single-pair functions.
+"""The (K, 4) array kernel against independent scalar single-pair code.
 
 Every row of the array IoU, loss and gradient kernels must equal the scalar
 reference bitwise, so +0.0 and -0.0 are told apart, and so are NaNs of
-either sign. Batches mix pairs that overlap, pairs on the IoU plateau, pairs
-with a shared edge, zero-width boxes and identical pairs.
+either sign. The IoU reference is `boxloss.iou`, which stays scalar; the
+loss and gradient references are in `reference.py`. The public single-pair
+loss and gradient functions are one-row calls of the kernel, so they are
+checked against the same references, and must return Python floats. Batches
+mix pairs that overlap, pairs on the IoU plateau, pairs with a shared edge,
+zero-width boxes and identical pairs; the `@example`s pin the cases that
+tell the kernel's kink conventions and summation order apart, so a clean
+checkout tests them without a saved Hypothesis database.
 """
 
 import struct
 
 import numpy as np
+import reference
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from boxloss import (
     Box,
     BoxBatch,
+    GradVector,
     HuberParams,
     LossKind,
     grad_huber,
     grad_iou_loss,
     grad_squared,
     huber_box,
+    huber_scalar,
     iou,
     iou_loss,
     squared_box,
@@ -83,26 +92,49 @@ def test_iou_rows_match_scalar(pairs):
     assert _bits(iou_array(pred, target).tolist()) == _bits(iou(p, t) for p, t in pairs)
 
 
+# The first example's corner terms 1.125, 2**-53, 2**-53, 2**-53 sum to 1.125
+# left to right and to 1.125 + 2**-52 in any other grouping. At the second
+# example's lam, lam * a + (1 - lam) * b and b + lam * (a - b) round differently.
 @given(_BATCH, _DELTA)
+@example(
+    pairs=[(Box(1.5, 2**-26, 2.0 + 2**-26, 1.0 + 2**-26), Box(0.0, 0.0, 2.0, 1.0))], delta=2.0
+)
+@example(pairs=[(Box(-3.0, 0.0, 4.0, 5.0), Box(-6.0, -3.0, 2.0, 6.0))], delta=1.0)
 def test_loss_rows_match_scalar(pairs, delta):
     params = HuberParams(delta)
     lam = _mean_iou(pairs)
     expected = {
-        LossKind.HUBER: [huber_box(p, t, params) for p, t in pairs],
-        LossKind.SQUARED: [squared_box(p, t) for p, t in pairs],
+        LossKind.HUBER: [reference.huber_box(p, t, params) for p, t in pairs],
+        LossKind.SQUARED: [reference.squared_box(p, t) for p, t in pairs],
         LossKind.IOU: [iou_loss(p, t) for p, t in pairs],
         LossKind.SMOOTH_IOU: [
-            lam * iou_loss(p, t) + (1.0 - lam) * huber_box(p, t, params) for p, t in pairs
+            lam * iou_loss(p, t) + (1.0 - lam) * reference.huber_box(p, t, params)
+            for p, t in pairs
         ],
     }
     pred, target = _arrays(pairs)
     ious = iou_array(pred, target)
-    for kind, reference in expected.items():
-        rows = _LOSSES[kind](pred, target, ious, lam, params).tolist()
-        assert _bits(rows) == _bits(reference), kind
+    for kind, rows in expected.items():
+        kernel = _LOSSES[kind](pred, target, ious, lam, params).tolist()
+        assert _bits(kernel) == _bits(rows), kind
+
+    views = {
+        LossKind.HUBER: lambda p, t: huber_box(p, t, params),
+        LossKind.SQUARED: squared_box,
+    }
+    for kind, view in views.items():
+        values = [view(p, t) for p, t in pairs]
+        assert all(type(v) is float for v in values), kind
+        assert _bits(values) == _bits(expected[kind]), kind
+    zs = [a - b for p, t in pairs for a, b in zip(p.corners(), t.corners())]
+    values = [huber_scalar(z, params) for z in zs]
+    assert all(type(v) is float for v in values)
+    assert _bits(values) == _bits(reference.huber_scalar(z, params) for z in zs)
 
 
-# The second pair's union is subnormal, so its square underflows to 0.
+# The first pair's union is subnormal, so its square underflows to 0. The
+# identical pair ties every edge, the shifted pair touches along one edge, and
+# the last pair's lam tells the two ways of writing the blend apart.
 @given(_BATCH, _DELTA)
 @example(
     pairs=[
@@ -111,27 +143,42 @@ def test_loss_rows_match_scalar(pairs, delta):
     ],
     delta=0.7,
 )
+@example(pairs=[(Box(0.0, 0.0, 2.0, 3.0),) * 2], delta=1.0)
+@example(pairs=[(Box(1.0, 0.0, 2.0, 1.0), Box(0.0, 0.0, 1.0, 1.0))], delta=1.0)
+@example(pairs=[(Box(-3.0, 0.0, 4.0, 5.0), Box(-6.0, -3.0, 2.0, 6.0))], delta=1.0)
 def test_gradient_rows_match_scalar(pairs, delta):
     params = HuberParams(delta)
     lam = _mean_iou(pairs)
 
     def smooth(p, t):
-        gi = grad_iou_loss(p, t).components()
-        gh = grad_huber(p, t, params).components()
+        gi = reference.grad_iou_loss(p, t).components()
+        gh = reference.grad_huber(p, t, params).components()
         return [lam * a + (1.0 - lam) * b for a, b in zip(gi, gh)]
 
     expected = {
-        LossKind.HUBER: lambda p, t: grad_huber(p, t, params).components(),
-        LossKind.SQUARED: lambda p, t: grad_squared(p, t).components(),
-        LossKind.IOU: lambda p, t: grad_iou_loss(p, t).components(),
+        LossKind.HUBER: lambda p, t: reference.grad_huber(p, t, params).components(),
+        LossKind.SQUARED: lambda p, t: reference.grad_squared(p, t).components(),
+        LossKind.IOU: lambda p, t: reference.grad_iou_loss(p, t).components(),
         LossKind.SMOOTH_IOU: smooth,
     }
     pred, target = _arrays(pairs)
-    for kind, reference in expected.items():
+    for kind, single in expected.items():
         rows = _PAIR_GRAD[kind](pred, target, lam, params)
         assert rows.shape == (len(pairs), 4)
         for row, (p, t) in zip(rows.tolist(), pairs):
-            assert _bits(row) == _bits(reference(p, t)), kind
+            assert _bits(row) == _bits(single(p, t)), kind
+
+    views = {
+        LossKind.HUBER: lambda p, t: grad_huber(p, t, params),
+        LossKind.SQUARED: grad_squared,
+        LossKind.IOU: grad_iou_loss,
+    }
+    for kind, view in views.items():
+        for p, t in pairs:
+            grad = view(p, t)
+            assert type(grad) is GradVector, kind
+            assert all(type(c) is float for c in grad.components()), kind
+            assert _bits(grad.components()) == _bits(expected[kind](p, t)), kind
 
 
 @given(st.lists(_disjoint_pair(), min_size=1, max_size=12), _DELTA)

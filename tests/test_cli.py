@@ -534,8 +534,57 @@ class TestRerun:
                 },
                 "is from boxloss",
             ),
+            (
+                {
+                    "command": "profile",
+                    "config": {
+                        "out": 5,
+                        "delta": 1.0,
+                        "mismatch_scale": 1.0,
+                        "samples": 11,
+                        "deltas": None,
+                    },
+                    "version": __version__,
+                },
+                "out must be a string",
+            ),
+            (
+                {
+                    "command": "fit",
+                    "config": {
+                        "batch_size": 2.5,
+                        "compare": None,
+                        "delta": 1.0,
+                        "frame": [0.0, 0.0, 100.0, 100.0],
+                        "learning_rate": 0.05,
+                        "loss": "smooth_iou",
+                        "momentum_or_decay": 0.9,
+                        "num_pairs": 4,
+                        "num_seeds": 1,
+                        "optimizer": "rmsprop_like",
+                        "out": "p.csv",
+                        "regime": "mixed",
+                        "scale_sigma": 0.1,
+                        "seed": 0,
+                        "steps": 3,
+                        "target_size_max": 20.0,
+                        "target_size_min": 5.0,
+                        "translation_sigma": 0.3,
+                    },
+                    "version": __version__,
+                },
+                "batch_size must be an integer",
+            ),
         ],
-        ids=["not_an_object", "null_config", "missing_keys", "wrong_type", "wrong_version"],
+        ids=[
+            "not_an_object",
+            "null_config",
+            "missing_keys",
+            "wrong_type",
+            "wrong_version",
+            "out_not_a_string",
+            "fractional_batch_size",
+        ],
     )
     def test_malformed_manifest_exits_2(self, tmp_path, capsys, monkeypatch, manifest, message):
         monkeypatch.chdir(tmp_path)  # where a replay would write p.csv

@@ -305,6 +305,10 @@ class TestFitConfigValidation:
             {"translation_sigma": math.nan},
             {"scale_sigma": math.nan},
             {"scale_sigma": math.inf},
+            {"num_pairs": 50.5},
+            {"steps": 2.5},
+            {"seed": 1.5},
+            {"batch_size": 2.5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
