@@ -56,10 +56,11 @@ _FIT_HELP = {
     "learning_rate": "learning rate",
     "momentum_or_decay": "momentum (plain_gd) or squared-gradient decay (rmsprop_like)",
 }
-# Defaults of the gradcheck and profile flags that are arguments, not config
-# fields, read once at import from the library functions' signatures.
+# Defaults of the flags that are library arguments, not config fields, read
+# once at import from the library functions' signatures.
 _CHECK_ARGS = inspect.signature(finite_diff_check).parameters
 _SWEEP_ARGS = inspect.signature(sweep_mismatch).parameters
+_COMPARE_ARGS = inspect.signature(compare_losses).parameters
 
 
 def _fmt(value: float) -> str:
@@ -322,7 +323,8 @@ def _cmd_fit(args, parser) -> int:
         if not compare:
             parser.error("--compare expects at least one loss kind")
     cfg["compare"] = compare
-    cfg["num_seeds"] = args.seeds if args.seeds is not None else (20 if compare else 1)
+    default_seeds = _COMPARE_ARGS["num_seeds"].default if compare else 1
+    cfg["num_seeds"] = default_seeds if args.seeds is None else args.seeds
     cfg["out"] = args.out
 
     try:

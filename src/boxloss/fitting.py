@@ -191,8 +191,13 @@ def generate_dataset(config: FitConfig) -> BoxBatch:
         target = Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
 
         for _attempt in range(_MAX_ATTEMPTS):
-            pw = w * float(math.exp(rng.normal(0.0, config.scale_sigma)))
-            ph = h * float(math.exp(rng.normal(0.0, config.scale_sigma)))
+            try:
+                pw = w * float(math.exp(rng.normal(0.0, config.scale_sigma)))
+                ph = h * float(math.exp(rng.normal(0.0, config.scale_sigma)))
+            except OverflowError:
+                raise ValueError(
+                    f"scale_sigma={config.scale_sigma!r} drew a size factor that overflows"
+                ) from None
             dx = float(rng.normal(0.0, config.translation_sigma * w))
             dy = float(rng.normal(0.0, config.translation_sigma * h))
             pred = Box(
@@ -218,17 +223,18 @@ def fit(config: FitConfig) -> FitResult:
     Minibatches walk a seed-shuffled order with sequential wraparound. Raw
     per-pair gradients update each pair's own block of four coordinates;
     after every optimizer step, inverted boxes are projected back to
-    validity. The recorded trajectories evaluate the configured loss and the
-    mean IoU over the full dataset. If a coordinate ever turns non-finite,
-    the step is rolled back, diverged is set, and the remaining trajectory
-    repeats the last finite state; overflow is therefore not an error.
+    validity. Each state is evaluated once, over the full dataset: its IoUs,
+    the configured loss and the mean IoU, which the trajectories record. A
+    step's blend weight lam is its minibatch's mean IoU, read from the IoUs
+    of the state the step starts from. If a coordinate or the loss turns
+    non-finite, the step is rolled back, diverged is set, and the remaining
+    trajectory repeats the last finite state; overflow is therefore not an
+    error.
     """
     params, targets = generate_dataset(config).arrays()
     state = np.zeros_like(params)
     huber = HuberParams(config.delta)
-    kind = config.loss_kind
-    smooth = kind is LossKind.SMOOTH_IOU
-    grad, losses = _PAIR_GRAD[kind], _LOSSES[kind]
+    grad, losses = _PAIR_GRAD[config.loss_kind], _LOSSES[config.loss_kind]
     lr = config.learning_rate
     rho = config.momentum_or_decay
     k = config.num_pairs
@@ -236,17 +242,16 @@ def fit(config: FitConfig) -> FitResult:
     order = np.random.default_rng(config.seed).permutation(k)
     offsets = np.arange(config.batch_size)
 
-    loss_traj: list[float] = []
-    iou_traj: list[float] = []
-
-    def record() -> None:
+    # Every kind's loss row gets the mean IoU as lam; only the smooth kind reads it.
+    def evaluate() -> tuple[np.ndarray, float, float]:
         ious = iou_array(params, targets)
         mean_iou = _blend_weight(ious)
-        loss = losses(params, targets, ious, mean_iou if smooth else 0.0, huber)
-        loss_traj.append(sum(loss.tolist()) / k)
-        iou_traj.append(mean_iou)
+        loss = losses(params, targets, ious, mean_iou, huber)
+        return ious, sum(loss.tolist()) / k, mean_iou
 
-    record()
+    ious, loss, mean_iou = evaluate()
+    loss_traj = [loss]
+    iou_traj = [mean_iou]
     diverged = False
     cursor = 0
     for _ in range(config.steps):
@@ -254,8 +259,7 @@ def fit(config: FitConfig) -> FitResult:
         cursor = (cursor + config.batch_size) % k
 
         batch, batch_targets = params[idx], targets[idx]
-        lam = _blend_weight(iou_array(batch, batch_targets)) if smooth else 0.0
-        g = grad(batch, batch_targets, lam, huber)
+        g = grad(batch, batch_targets, _blend_weight(ious[idx]), huber)
         if config.optimizer is OptimizerKind.RMSPROP_LIKE:
             batch_state = rho * state[idx] + (1.0 - rho) * g * g
             moved = batch - lr * g / (np.sqrt(batch_state) + _RMSPROP_EPS)
@@ -271,15 +275,13 @@ def fit(config: FitConfig) -> FitResult:
         state[idx] = batch_state
         params[idx] = moved
 
-        if np.isfinite(moved).all():
-            record()
-            if math.isfinite(loss_traj[-1]):
-                continue
-            loss_traj.pop()
-            iou_traj.pop()
-        params[idx] = batch
-        diverged = True
-        break
+        ious, loss, mean_iou = evaluate()
+        if not (np.isfinite(moved).all() and math.isfinite(loss)):
+            params[idx] = batch
+            diverged = True
+            break
+        loss_traj.append(loss)
+        iou_traj.append(mean_iou)
 
     # A diverged run's trajectories repeat its last finite state.
     pad = config.steps + 1 - len(loss_traj)

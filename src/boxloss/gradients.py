@@ -41,8 +41,6 @@ __all__ = [
     "finite_diff_check",
 ]
 
-_COORD_NAMES = ("xmin", "ymin", "xmax", "ymax")
-
 # gradcheck's sampler draws each geometric case by construction, unlike fit's
 # OverlapRegime, which filters perturbed pairs only by IoU > 0 or IoU = 0.
 REGIMES = ("mixed", "partial", "nested", "shifted", "disjoint")
@@ -124,10 +122,12 @@ def _grad_iou_rows(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 # Per-pair gradients of each kind as a (K, 4) array over (K, 4) predicted and
-# target corners at the blend weight lam, a scalar or a (K, 1) array, which
-# only the smooth kind reads. grad_huber, grad_squared and grad_iou_loss are
-# one-row calls of these rows; tests/reference.py is the independent
-# single-pair reference they are checked against bitwise.
+# target corners at the blend weight lam, a scalar or a (K, 1) array. Callers
+# hand every kind the lam computed from the IoUs; only the smooth kind reads
+# it, and losses._FIXED_LAM is only the lam a LossReport reports. grad_huber,
+# grad_squared and grad_iou_loss are one-row calls of these rows;
+# tests/reference.py is the independent single-pair reference they are
+# checked against bitwise.
 _PAIR_GRAD = {
     LossKind.HUBER: lambda p, t, lam, params: _grad_huber_rows(p, t, params.delta),
     LossKind.SQUARED: lambda p, t, lam, params: _grad_squared_rows(p, t),

@@ -129,9 +129,10 @@ def _squared_rows(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 # Per-example losses of each kind as a (K,) array over (K, 4) predicted and
 # target corners, given the pairs' IoUs and the blend weight lam, a scalar or
-# a (K,) array, which only the smooth kind reads. huber_box and squared_box
-# are one-row calls of these rows; tests/reference.py is the independent
-# single-pair reference they are checked against bitwise.
+# a (K,) array. Callers hand every kind the lam computed from the IoUs; only
+# the smooth kind reads it. huber_box and squared_box are one-row calls of
+# these rows; tests/reference.py is the independent single-pair reference
+# they are checked against bitwise.
 _LOSSES = {
     LossKind.HUBER: lambda p, t, ious, lam, params: _huber_rows(p, t, params.delta),
     LossKind.SQUARED: lambda p, t, ious, lam, params: _squared_rows(p, t),
@@ -141,7 +142,7 @@ _LOSSES = {
     ),
 }
 
-# The lam reported by the kinds that do not blend.
+# The lam LossReport reports for the kinds that do not blend; no row reads it.
 _FIXED_LAM = {LossKind.HUBER: 0.0, LossKind.SQUARED: 0.0, LossKind.IOU: 1.0}
 
 

@@ -102,20 +102,10 @@ def sweep_mismatch(config: SweepConfig = SweepConfig(), scale: float = 1.0) -> l
     target = np.tile(config.target.corners(), (len(xs), 1))
     params = HuberParams(config.delta)
     v = iou_array(pred, target)
-
-    def column(kind: LossKind, lam) -> list[float]:
-        return _LOSSES[kind](pred, target, v, lam, params).tolist()
-
-    # Each row is a batch of one, so the smooth column's lam is the row's IoU.
-    columns = zip(
-        xs,
-        column(LossKind.HUBER, 0.0),
-        column(LossKind.SQUARED, 0.0),
-        column(LossKind.IOU, 1.0),
-        column(LossKind.SMOOTH_IOU, v),
-        v.tolist(),
-    )
-    return [SweepRow(*row) for row in columns]
+    # Each row is a batch of one, so every kind's lam is the row's IoU. The
+    # loss columns follow LossKind's order: huber, squared, iou, smooth_iou.
+    losses = [_LOSSES[kind](pred, target, v, v, params).tolist() for kind in LossKind]
+    return [SweepRow(*row) for row in zip(xs, *losses, v.tolist())]
 
 
 def delta_study(

@@ -2,13 +2,21 @@
 manifest replay. Everything runs in process through main(argv)."""
 
 import argparse
+import inspect
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from boxloss import FitConfig, SweepConfig, __version__, sweep, sweep_mismatch
+from boxloss import (
+    FitConfig,
+    SweepConfig,
+    __version__,
+    compare_losses,
+    sweep,
+    sweep_mismatch,
+)
 from boxloss.cli import _build_parser, main
 
 
@@ -287,11 +295,20 @@ class TestFitCommand:
             ["fit", "--out", out, "--seeds", "0"],
             ["fit", "--out", out, "--optimizer", "adam"],
             ["fit"],
+            ["fit", "--out", out, "--scale-sigma", "1000", "--num-pairs", "4"],
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
             assert not Path(out).exists(), argv
+
+    def test_compare_defaults_to_compare_losses_seed_count(self, tmp_path):
+        outdir = self._run(tmp_path, "--compare", "huber")
+        default = inspect.signature(compare_losses).parameters["num_seeds"].default
+        assert default == 20
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["config"]["num_seeds"] == default
+        assert len(list(outdir.glob("trajectory_huber_seed*.csv"))) == default
 
     @pytest.mark.parametrize("flag, value, expected", _FIT_FLAG_CASES)
     def test_flag_lands_under_its_config_key(
@@ -575,6 +592,33 @@ class TestRerun:
                 },
                 "batch_size must be an integer",
             ),
+            (
+                {
+                    "command": "fit",
+                    "config": {
+                        "batch_size": 4,
+                        "compare": None,
+                        "delta": 1.0,
+                        "frame": [0.0, 0.0, 100.0, 100.0],
+                        "learning_rate": 0.05,
+                        "loss": "smooth_iou",
+                        "momentum_or_decay": 0.9,
+                        "num_pairs": 4,
+                        "num_seeds": 1,
+                        "optimizer": "rmsprop_like",
+                        "out": "p.csv",
+                        "regime": "mixed",
+                        "scale_sigma": 1e308,
+                        "seed": 0,
+                        "steps": 2,
+                        "target_size_max": 20.0,
+                        "target_size_min": 5.0,
+                        "translation_sigma": 0.3,
+                    },
+                    "version": __version__,
+                },
+                "scale_sigma",
+            ),
         ],
         ids=[
             "not_an_object",
@@ -584,6 +628,7 @@ class TestRerun:
             "wrong_version",
             "out_not_a_string",
             "fractional_batch_size",
+            "overflowing_scale_sigma",
         ],
     )
     def test_malformed_manifest_exits_2(self, tmp_path, capsys, monkeypatch, manifest, message):

@@ -4,12 +4,14 @@ handling, and multi-seed loss comparisons."""
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from boxloss import (
     Box,
     ComparisonResult,
     FitConfig,
+    HuberParams,
     InfeasibleDatasetError,
     LossKind,
     OptimizerKind,
@@ -17,6 +19,8 @@ from boxloss import (
     compare_losses,
     fit,
     generate_dataset,
+    grad_huber,
+    grad_iou_loss,
     iou,
 )
 
@@ -157,6 +161,45 @@ class TestFit:
         huber = fit(replace(base, loss_kind="huber"))
         assert smooth.final_predicted == huber.final_predicted
         assert smooth.loss_trajectory == huber.loss_trajectory
+
+    def test_minibatch_blend_weight_is_the_batch_mean_iou_at_the_current_state(self):
+        # Six pairs in batches of four: the second batch wraps onto two rows
+        # the first step moved, so its lam must be read from the moved boxes.
+        config = FitConfig(
+            loss_kind="smooth_iou",
+            optimizer="plain_gd",
+            momentum_or_decay=0.0,
+            learning_rate=0.5,
+            steps=2,
+            num_pairs=6,
+            batch_size=4,
+            seed=4,
+        )
+        data = generate_dataset(config)
+        predicted = list(data.predicted)
+        order = np.random.default_rng(config.seed).permutation(6).tolist()
+        huber = HuberParams(config.delta)
+        for step in range(2):
+            idx = [order[(4 * step + j) % 6] for j in range(4)]
+            lam = 0.0
+            for i in idx:
+                lam += iou(predicted[i], data.target[i])
+            lam /= 4
+            for i in idx:
+                box, target = predicted[i], data.target[i]
+                g_iou = grad_iou_loss(box, target).components()
+                g_huber = grad_huber(box, target, huber).components()
+                predicted[i] = Box(
+                    *(
+                        c - 0.5 * (lam * a + (1.0 - lam) * b)
+                        for c, a, b in zip(box.corners(), g_iou, g_huber)
+                    )
+                )
+
+        def bits(boxes):
+            return [c.hex() for box in boxes for c in box.corners()]
+
+        assert bits(fit(config).final_predicted) == bits(predicted)
 
     def test_divergence_rolls_back_and_freezes(self):
         config = FitConfig(

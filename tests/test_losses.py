@@ -39,7 +39,7 @@ def _huber_ref(z: float, delta: float) -> float:
     # Piecewise reference written out independently of the implementation.
     if abs(z) < delta:
         return 0.5 * z * z
-    return delta * abs(z) - 0.5 * delta**2
+    return delta * abs(z) - 0.5 * delta * delta
 
 
 def _batch(pairs) -> BoxBatch:
@@ -77,9 +77,12 @@ class TestHuberScalar:
         with pytest.raises(ValueError):
             HuberParams(math.inf)
 
-    # 0.5 * z * z is subnormal here; 0.5 * z**2 would round it twice.
+    # 0.5 * z * z is subnormal in the first example; 0.5 * z**2 would round it
+    # twice. In the second, the library pow gives delta**2 one ulp away from
+    # the correctly rounded delta * delta.
     @given(st.floats(-50.0, 50.0), st.floats(0.1, 5.0))
     @example(z=1.2394511199745166e-160, delta=1.0)
+    @example(z=4.0, delta=3.5459711189894074)
     def test_matches_piecewise_reference(self, z, delta):
         assert huber_scalar(z, HuberParams(delta)) == _huber_ref(z, delta)
 

@@ -1,7 +1,9 @@
 """The package's public surface: the names `boxloss` exports, where they come
-from, and the version the command line reports."""
+from, and the version the command line reports; and no dead private names."""
 
+import ast
 import types
+from pathlib import Path
 
 import pytest
 
@@ -91,3 +93,41 @@ def test_version_flag_prints_package_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out == f"boxloss {boxloss.__version__}\n"
+
+
+def _private_definitions(tree: ast.Module):
+    """Module-level `_x` names a module assigns, or defines as a function or class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def test_every_private_module_name_is_referenced():
+    package = Path(boxloss.__file__).parent
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    unreferenced = [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in referenced
+    ]
+    assert unreferenced == []
