@@ -31,6 +31,35 @@ _MAX_ORACLE_CELLS = 50_000_000
 _IEEE = np.errstate(all="ignore")
 
 
+# Scalar draws with the bits and stream advance of numpy's Generator.uniform,
+# .normal and .choice, minus their per-call argument handling, for the
+# samplers gradients._sample_pair and fitting.generate_dataset.
+
+
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """rng.uniform(lo, hi): numpy's random_uniform, low + range * next_double,
+    on the bounds converted to float, with its refusal of a range that is
+    negative or not finite. Pinned by tests/test_draws.py::test_uniform_is_numpys."""
+    lo = float(lo)
+    span = float(hi) - lo
+    if not 0.0 <= span < math.inf:
+        raise ValueError(f"uniform range [{lo!r}, {hi!r}] is negative or not finite")
+    return lo + span * rng.random()
+
+
+def _normal(rng: np.random.Generator, scale: float) -> float:
+    """rng.normal(0.0, scale) for scale >= 0: numpy's random_normal,
+    loc + scale * gauss with loc = 0.0. Pinned by
+    tests/test_draws.py::test_normal_is_numpys."""
+    return 0.0 + scale * rng.standard_normal()
+
+
+def _sign(rng: np.random.Generator) -> float:
+    """rng.choice((-1.0, 1.0)): Generator.choice without p draws
+    integers(0, pop_size). Pinned by tests/test_draws.py::test_sign_is_numpys."""
+    return (-1.0, 1.0)[rng.integers(0, 2)]
+
+
 @dataclass(frozen=True)
 class Box:
     """Rectangle in corner form (xmin, ymin, xmax, ymax).

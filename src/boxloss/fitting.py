@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .boxes import _IEEE, Box, BoxBatch, iou, iou_array
+from .boxes import _IEEE, Box, BoxBatch, _normal, _uniform, iou, iou_array
 from .gradients import _PAIR_GRAD
 from .losses import _LOSSES, HuberParams, LossKind, _blend_weight
 
@@ -106,6 +106,11 @@ class FitConfig:
                 f"target size range must satisfy 0 < min <= max, got "
                 f"({self.target_size_min}, {self.target_size_max})"
             )
+        if not (math.isfinite(self.frame.width) and math.isfinite(self.frame.height)):
+            raise ValueError(
+                f"frame width and height must be finite, got "
+                f"{self.frame.width} x {self.frame.height}"
+            )
         if self.target_size_max > min(self.frame.width, self.frame.height):
             raise ValueError("target_size_max exceeds the frame")
         sigmas = (self.translation_sigma, self.scale_sigma)
@@ -176,7 +181,9 @@ def generate_dataset(config: FitConfig) -> BoxBatch:
     wherever the box fits in the frame. Predictions translate the center by
     a Gaussian in units of the target size and jitter the size log-normally;
     draws that violate the overlap regime are rejected and resampled, and a
-    pair that exhausts its attempts raises InfeasibleDatasetError.
+    pair that exhausts its attempts raises InfeasibleDatasetError. A draw
+    whose box size or center shift is not finite raises ValueError naming
+    scale_sigma or translation_sigma.
     """
     rng = np.random.default_rng(config.seed)
     frame = config.frame
@@ -184,22 +191,29 @@ def generate_dataset(config: FitConfig) -> BoxBatch:
     targets: list[Box] = []
 
     for _ in range(config.num_pairs):
-        w = float(rng.uniform(config.target_size_min, config.target_size_max))
-        h = float(rng.uniform(config.target_size_min, config.target_size_max))
-        cx = float(rng.uniform(frame.xmin + w / 2, frame.xmax - w / 2))
-        cy = float(rng.uniform(frame.ymin + h / 2, frame.ymax - h / 2))
+        w = _uniform(rng, config.target_size_min, config.target_size_max)
+        h = _uniform(rng, config.target_size_min, config.target_size_max)
+        cx = _uniform(rng, frame.xmin + w / 2, frame.xmax - w / 2)
+        cy = _uniform(rng, frame.ymin + h / 2, frame.ymax - h / 2)
         target = Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
 
         for _attempt in range(_MAX_ATTEMPTS):
             try:
-                pw = w * float(math.exp(rng.normal(0.0, config.scale_sigma)))
-                ph = h * float(math.exp(rng.normal(0.0, config.scale_sigma)))
+                pw = w * math.exp(_normal(rng, config.scale_sigma))
+                ph = h * math.exp(_normal(rng, config.scale_sigma))
             except OverflowError:
+                pw = ph = math.inf
+            if not (math.isfinite(pw) and math.isfinite(ph)):
                 raise ValueError(
-                    f"scale_sigma={config.scale_sigma!r} drew a size factor that overflows"
-                ) from None
-            dx = float(rng.normal(0.0, config.translation_sigma * w))
-            dy = float(rng.normal(0.0, config.translation_sigma * h))
+                    f"scale_sigma={config.scale_sigma!r} drew a box size that is not finite"
+                )
+            dx = _normal(rng, config.translation_sigma * w)
+            dy = _normal(rng, config.translation_sigma * h)
+            if not (math.isfinite(dx) and math.isfinite(dy)):
+                raise ValueError(
+                    f"translation_sigma={config.translation_sigma!r} drew a center shift "
+                    "that is not finite"
+                )
             pred = Box(
                 cx + dx - pw / 2, cy + dy - ph / 2, cx + dx + pw / 2, cy + dy + ph / 2
             )

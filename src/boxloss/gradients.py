@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import _IEEE, Box, BoxBatch, _corner_row, _signed_overlap, iou_array
-from .boxes import overlap_array
+from .boxes import _normal, _sign, _uniform, overlap_array
 # Unused here; bench/worker.py's traced run replaces iou on this module by name.
 from .boxes import iou  # noqa: F401
 from .losses import _LOSSES, HuberParams, LossKind, _blend, _blend_weight
@@ -184,37 +184,37 @@ def _sample_pair(rng: np.random.Generator, regime: str) -> tuple[float, ...]:
     if regime == "mixed":
         regime = REGIMES[1 + int(rng.integers(0, 4))]
 
-    w = float(rng.uniform(6.0, 24.0))
-    h = float(rng.uniform(6.0, 24.0))
-    cx = float(rng.uniform(30.0, 70.0))
-    cy = float(rng.uniform(30.0, 70.0))
+    w = _uniform(rng, 6.0, 24.0)
+    h = _uniform(rng, 6.0, 24.0)
+    cx = _uniform(rng, 30.0, 70.0)
+    cy = _uniform(rng, 30.0, 70.0)
 
     if regime == "nested":
-        pw = w * float(rng.uniform(0.3, 0.7))
-        ph = h * float(rng.uniform(0.3, 0.7))
-        dx = float(rng.uniform(-0.4, 0.4)) * (w - pw) / 2
-        dy = float(rng.uniform(-0.4, 0.4)) * (h - ph) / 2
+        pw = w * _uniform(rng, 0.3, 0.7)
+        ph = h * _uniform(rng, 0.3, 0.7)
+        dx = _uniform(rng, -0.4, 0.4) * (w - pw) / 2
+        dy = _uniform(rng, -0.4, 0.4) * (h - ph) / 2
     elif regime == "shifted":
         pw, ph = w, h
-        dx = float(rng.uniform(0.15, 1.5)) * w * float(rng.choice((-1.0, 1.0)))
-        dy = float(rng.uniform(0.15, 1.5)) * h * float(rng.choice((-1.0, 1.0)))
+        dx = _uniform(rng, 0.15, 1.5) * w * _sign(rng)
+        dy = _uniform(rng, 0.15, 1.5) * h * _sign(rng)
     elif regime == "partial":
-        pw = w * float(math.exp(rng.normal(0.0, 0.15)))
-        ph = h * float(math.exp(rng.normal(0.0, 0.15)))
-        dx = float(rng.uniform(0.25, 0.75)) * (w + pw) / 2 * float(rng.choice((-1.0, 1.0)))
-        dy = float(rng.uniform(0.25, 0.75)) * (h + ph) / 2 * float(rng.choice((-1.0, 1.0)))
+        pw = w * math.exp(_normal(rng, 0.15))
+        ph = h * math.exp(_normal(rng, 0.15))
+        dx = _uniform(rng, 0.25, 0.75) * (w + pw) / 2 * _sign(rng)
+        dy = _uniform(rng, 0.25, 0.75) * (h + ph) / 2 * _sign(rng)
     elif regime == "disjoint":
-        pw = w * float(math.exp(rng.normal(0.0, 0.15)))
-        ph = h * float(math.exp(rng.normal(0.0, 0.15)))
+        pw = w * math.exp(_normal(rng, 0.15))
+        ph = h * math.exp(_normal(rng, 0.15))
         # Separate by at least 10% of the half-sum along one axis, so the
         # pair sits strictly inside the plateau.
-        dx = float(rng.uniform(-0.3, 0.3)) * w
-        dy = float(rng.uniform(-0.3, 0.3)) * h
-        gap = 1.1 + float(rng.uniform(0.0, 2.0))
+        dx = _uniform(rng, -0.3, 0.3) * w
+        dy = _uniform(rng, -0.3, 0.3) * h
+        gap = 1.1 + _uniform(rng, 0.0, 2.0)
         if int(rng.integers(0, 2)) == 0:
-            dx = gap * (w + pw) / 2 * float(rng.choice((-1.0, 1.0)))
+            dx = gap * (w + pw) / 2 * _sign(rng)
         else:
-            dy = gap * (h + ph) / 2 * float(rng.choice((-1.0, 1.0)))
+            dy = gap * (h + ph) / 2 * _sign(rng)
     else:
         raise ValueError(f"unknown regime {regime!r}")
 

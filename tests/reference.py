@@ -1,19 +1,38 @@
-"""Single-pair losses and gradients written out in scalar Python, one
-coordinate at a time, independently of the (K, 4) array kernel in `boxloss`.
+"""Independent references for the library's fast paths.
 
+Single-pair losses and gradients written out in scalar Python, one
+coordinate at a time, independently of the (K, 4) array kernel in `boxloss`.
 `tests/test_arrays.py` checks the kernel rows, and the public single-pair
 functions that call them, against these bitwise. The kink conventions are
 the library's: the Huber boundary |z| = delta takes the linear branch, a
 predicted edge exactly on the target's edge is binding, and the IoU-loss
 gradient is the exact zero vector where the intersection is empty.
+
+The two samplers, gradcheck's `_sample_pair` and fit's `generate_dataset`,
+written with numpy's own `Generator.uniform`, `.normal` and `.choice` calls.
+`tests/test_draws.py` checks that the library's samplers, which draw through
+`boxloss.boxes._uniform`, `_normal` and `_sign`, give the same values bit for
+bit and leave the generator at the same point.
 """
 
 import math
 
 import numpy as np
 
-from boxloss import Box, GradVector, HuberParams, area, intersection_dims
+from boxloss import (
+    Box,
+    BoxBatch,
+    FitConfig,
+    GradVector,
+    HuberParams,
+    InfeasibleDatasetError,
+    area,
+    intersection_dims,
+    iou,
+)
 from boxloss.boxes import _IEEE
+from boxloss.fitting import _MAX_ATTEMPTS, _regime_accepts
+from boxloss.gradients import REGIMES
 
 
 def huber_scalar(z: float, params: HuberParams = HuberParams()) -> float:
@@ -98,3 +117,95 @@ def grad_iou_loss(pred: Box, target: Box) -> GradVector:
     num = [-(union * di_p - inter * (da_p - di_p)) for di_p, da_p in zip(di, darea)]
     # IEEE division, like the array row, where union * union underflows to 0.
     return GradVector(*(np.array(num) / (union * union)).tolist())
+
+
+def _sample_pair(rng: np.random.Generator, regime: str) -> tuple[float, ...]:
+    """Draw one pair in the given overlap regime: the predicted box's four
+    corners, then the target's."""
+    if regime == "mixed":
+        regime = REGIMES[1 + int(rng.integers(0, 4))]
+
+    w = float(rng.uniform(6.0, 24.0))
+    h = float(rng.uniform(6.0, 24.0))
+    cx = float(rng.uniform(30.0, 70.0))
+    cy = float(rng.uniform(30.0, 70.0))
+
+    if regime == "nested":
+        pw = w * float(rng.uniform(0.3, 0.7))
+        ph = h * float(rng.uniform(0.3, 0.7))
+        dx = float(rng.uniform(-0.4, 0.4)) * (w - pw) / 2
+        dy = float(rng.uniform(-0.4, 0.4)) * (h - ph) / 2
+    elif regime == "shifted":
+        pw, ph = w, h
+        dx = float(rng.uniform(0.15, 1.5)) * w * float(rng.choice((-1.0, 1.0)))
+        dy = float(rng.uniform(0.15, 1.5)) * h * float(rng.choice((-1.0, 1.0)))
+    elif regime == "partial":
+        pw = w * float(math.exp(rng.normal(0.0, 0.15)))
+        ph = h * float(math.exp(rng.normal(0.0, 0.15)))
+        dx = float(rng.uniform(0.25, 0.75)) * (w + pw) / 2 * float(rng.choice((-1.0, 1.0)))
+        dy = float(rng.uniform(0.25, 0.75)) * (h + ph) / 2 * float(rng.choice((-1.0, 1.0)))
+    elif regime == "disjoint":
+        pw = w * float(math.exp(rng.normal(0.0, 0.15)))
+        ph = h * float(math.exp(rng.normal(0.0, 0.15)))
+        # Separate by at least 10% of the half-sum along one axis, so the
+        # pair sits strictly inside the plateau.
+        dx = float(rng.uniform(-0.3, 0.3)) * w
+        dy = float(rng.uniform(-0.3, 0.3)) * h
+        gap = 1.1 + float(rng.uniform(0.0, 2.0))
+        if int(rng.integers(0, 2)) == 0:
+            dx = gap * (w + pw) / 2 * float(rng.choice((-1.0, 1.0)))
+        else:
+            dy = gap * (h + ph) / 2 * float(rng.choice((-1.0, 1.0)))
+    else:
+        raise ValueError(f"unknown regime {regime!r}")
+
+    px, py = cx + dx, cy + dy
+    pred = (px - pw / 2, py - ph / 2, px + pw / 2, py + ph / 2)
+    return pred + (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+
+
+def generate_dataset(config: FitConfig) -> BoxBatch:
+    """Draw targets inside the frame and predictions as perturbed copies.
+
+    Target widths and heights are uniform in the size range, centers uniform
+    wherever the box fits in the frame. Predictions translate the center by
+    a Gaussian in units of the target size and jitter the size log-normally;
+    draws that violate the overlap regime are rejected and resampled, and a
+    pair that exhausts its attempts raises InfeasibleDatasetError.
+    """
+    rng = np.random.default_rng(config.seed)
+    frame = config.frame
+    predicted: list[Box] = []
+    targets: list[Box] = []
+
+    for _ in range(config.num_pairs):
+        w = float(rng.uniform(config.target_size_min, config.target_size_max))
+        h = float(rng.uniform(config.target_size_min, config.target_size_max))
+        cx = float(rng.uniform(frame.xmin + w / 2, frame.xmax - w / 2))
+        cy = float(rng.uniform(frame.ymin + h / 2, frame.ymax - h / 2))
+        target = Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+
+        for _attempt in range(_MAX_ATTEMPTS):
+            try:
+                pw = w * float(math.exp(rng.normal(0.0, config.scale_sigma)))
+                ph = h * float(math.exp(rng.normal(0.0, config.scale_sigma)))
+            except OverflowError:
+                raise ValueError(
+                    f"scale_sigma={config.scale_sigma!r} drew a size factor that overflows"
+                ) from None
+            dx = float(rng.normal(0.0, config.translation_sigma * w))
+            dy = float(rng.normal(0.0, config.translation_sigma * h))
+            pred = Box(
+                cx + dx - pw / 2, cy + dy - ph / 2, cx + dx + pw / 2, cy + dy + ph / 2
+            )
+            if _regime_accepts(config.regime, iou(pred, target)):
+                break
+        else:
+            raise InfeasibleDatasetError(
+                f"could not satisfy regime {config.regime.value!r} within "
+                f"{_MAX_ATTEMPTS} attempts; widen the perturbation or relax the regime"
+            )
+        predicted.append(pred)
+        targets.append(target)
+
+    return BoxBatch(tuple(predicted), tuple(targets))

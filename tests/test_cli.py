@@ -302,6 +302,43 @@ class TestFitCommand:
             assert exc.value.code == 2
             assert not Path(out).exists(), argv
 
+    @pytest.mark.parametrize(
+        "flags, setting",
+        [
+            (["--translation-sigma", "1e308"], "translation_sigma"),
+            (["--scale-sigma", "300", "--batch-size", "4", "--seed", "30"], "scale_sigma"),
+        ],
+        ids=["translation_sigma", "scale_sigma"],
+    )
+    def test_non_finite_draw_names_its_setting(self, tmp_path, capsys, flags, setting):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--out", str(out), "--num-pairs", "4", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {setting}=" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_unmeasurable_frame_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        config = tmp_path / "fit.cfg"
+        config.write_text("frame = -1e308,-1e308,1e308,1e308\n")
+        small = ["--num-pairs", "4", "--batch-size", "4", "--steps", "2"]
+        for argv in (
+            ["fit", "--out", str(out), "--frame=-1e308,-1e308,1e308,1e308", *small],
+            ["fit", "--out", str(out), "--config", str(config), *small],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.splitlines()[-1].endswith(
+                "frame width and height must be finite, got inf x inf"
+            )
+            assert "Traceback" not in err
+            assert not out.exists()
+
     def test_compare_defaults_to_compare_losses_seed_count(self, tmp_path):
         outdir = self._run(tmp_path, "--compare", "huber")
         default = inspect.signature(compare_losses).parameters["num_seeds"].default
@@ -619,6 +656,33 @@ class TestRerun:
                 },
                 "scale_sigma",
             ),
+            (
+                {
+                    "command": "fit",
+                    "config": {
+                        "batch_size": 4,
+                        "compare": None,
+                        "delta": 1.0,
+                        "frame": [-1e308, 0.0, 1e308, 100.0],
+                        "learning_rate": 0.05,
+                        "loss": "smooth_iou",
+                        "momentum_or_decay": 0.9,
+                        "num_pairs": 4,
+                        "num_seeds": 1,
+                        "optimizer": "rmsprop_like",
+                        "out": "p.csv",
+                        "regime": "mixed",
+                        "scale_sigma": 0.1,
+                        "seed": 0,
+                        "steps": 2,
+                        "target_size_max": 20.0,
+                        "target_size_min": 5.0,
+                        "translation_sigma": 0.3,
+                    },
+                    "version": __version__,
+                },
+                "frame width and height must be finite",
+            ),
         ],
         ids=[
             "not_an_object",
@@ -629,6 +693,7 @@ class TestRerun:
             "out_not_a_string",
             "fractional_batch_size",
             "overflowing_scale_sigma",
+            "infinite_frame_width",
         ],
     )
     def test_malformed_manifest_exits_2(self, tmp_path, capsys, monkeypatch, manifest, message):

@@ -2,6 +2,7 @@
 handling, and multi-seed loss comparisons."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -92,6 +93,19 @@ class TestGenerateDataset:
         )
         data = generate_dataset(config)
         assert data.predicted == data.target
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"translation_sigma": 1e308}, "translation_sigma=1e+308 drew a center shift"),
+            # The size factor is finite; the box size it gives is not.
+            ({"scale_sigma": 300.0, "seed": 30}, "scale_sigma=300.0 drew a box size"),
+        ],
+    )
+    def test_non_finite_draw_names_its_setting(self, kwargs, message):
+        config = FitConfig(num_pairs=4, batch_size=4, **kwargs)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_dataset(config)
 
     def test_infeasible_raises(self):
         # Zero perturbation can never produce a disjoint prediction.
@@ -352,6 +366,8 @@ class TestFitConfigValidation:
             {"steps": 2.5},
             {"seed": 1.5},
             {"batch_size": 2.5},
+            {"frame": Box(-1e308, 0.0, 1e308, 100.0)},
+            {"frame": Box(0.0, -1e308, 100.0, 1e308)},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
