@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from .boxes import Box
 from .fitting import FitConfig, InfeasibleDatasetError, compare_losses
-from .gradients import REGIMES, GradCheckConfig, finite_diff_check
+from .gradients import REGIMES, GradCheckConfig, _check_kinds, finite_diff_check
 from .losses import LossKind
 from .profiles import SweepConfig, SweepRow, sweep_mismatch
 
@@ -167,21 +167,21 @@ def _cmd_gradcheck(args, parser) -> int:
 
     kinds = list(LossKind) if args.loss == "all" else [LossKind(args.loss)]
     failed = False
-    # GradCheckConfig and the first check validate --samples, --step and --tol.
+    # GradCheckConfig and _check_kinds validate --samples, --step and --tol.
     try:
         config = GradCheckConfig(num_samples=args.samples, regime=args.regime, seed=seed)
-        for kind in kinds:
-            result = finite_diff_check(kind, config, tolerance=args.tol, step=args.step)
-            ok = result.max_relative_error <= args.tol
-            failed = failed or not ok
-            print(
-                f"{kind.value}: max_relative_error={result.max_relative_error:.6e} "
-                f"checked={result.num_points_checked} "
-                f"skipped_near_kink={result.num_skipped_near_kink} "
-                f"{'PASS' if ok else 'FAIL'}"
-            )
+        results = _check_kinds(kinds, config, tolerance=args.tol, step=args.step)
     except ValueError as exc:
         parser.error(str(exc))
+    for kind, result in zip(kinds, results):
+        ok = result.max_relative_error <= args.tol
+        failed = failed or not ok
+        print(
+            f"{kind.value}: max_relative_error={result.max_relative_error:.6e} "
+            f"checked={result.num_points_checked} "
+            f"skipped_near_kink={result.num_skipped_near_kink} "
+            f"{'PASS' if ok else 'FAIL'}"
+        )
     return 3 if failed else 0
 
 

@@ -113,6 +113,14 @@ class FitConfig:
             )
         if self.target_size_max > min(self.frame.width, self.frame.height):
             raise ValueError("target_size_max exceeds the frame")
+        # generate_dataset draws centers between these bounds, which can cross
+        # by rounding when the size equals the frame's width or height.
+        m, f = self.target_size_max, self.frame
+        if f.xmin + m / 2 > f.xmax - m / 2 or f.ymin + m / 2 > f.ymax - m / 2:
+            raise ValueError(
+                f"target_size_max={m!r} leaves no room for a box center in frame "
+                f"{f.corners()}"
+            )
         sigmas = (self.translation_sigma, self.scale_sigma)
         if not all(math.isfinite(s) and s >= 0 for s in sigmas):
             raise ValueError(

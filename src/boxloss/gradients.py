@@ -19,6 +19,7 @@ one-sided slopes rather than either convention.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,6 +166,10 @@ class GradCheckConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("num_samples", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.num_samples < 1:
             raise ValueError(f"num_samples must be >= 1, got {self.num_samples}")
         if self.regime not in REGIMES:
@@ -277,28 +282,48 @@ def finite_diff_check(
     of a kink are skipped and counted separately. For the smooth kind the
     differenced function holds lam frozen at its unperturbed value, matching
     the gradient's constant-lam convention. Errors are relative:
-    |analytic - numeric| / max(1, |numeric|).
+    |analytic - numeric| / max(1, |numeric|). This is the one-kind case of
+    _check_kinds, which checks several kinds on one drawn sample set.
     """
+    return _check_kinds([kind], config, tolerance, step, params)[0]
+
+
+def _check_kinds(
+    kinds: list[LossKind],
+    config: GradCheckConfig,
+    tolerance: float,
+    step: float,
+    params: HuberParams = HuberParams(),
+) -> list[GradCheckResult]:
+    """finite_diff_check of each kind, in the order given, on one sample set:
+    the pairs are drawn and kink-filtered once, so every kind sees exactly
+    the pairs it would see on its own."""
     if not 1e-7 <= step <= 1e-3:
         raise ValueError(f"step must lie in [1e-7, 1e-3], got {step}")
     if not math.isfinite(tolerance) or tolerance <= 0:
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
-    kind = LossKind(kind)
+    kinds = [LossKind(kind) for kind in kinds]
 
     rng = np.random.default_rng(config.seed)
     margin = 10.0 * step
 
     checked = 0
-    max_err = 0.0
+    max_errs = [0.0] * len(kinds)
     for start in range(0, config.num_samples, _CHECK_CHUNK):
         size = min(_CHECK_CHUNK, config.num_samples - start)
         rows = np.array([_sample_pair(rng, config.regime) for _ in range(size)])
         rows = rows[~_near_kink(rows[:, :4], rows[:, 4:], params.delta, margin)]
-        max_err = _max_error(kind, rows[:, :4], rows[:, 4:], step, params, max_err)
+        max_errs = [
+            _max_error(kind, rows[:, :4], rows[:, 4:], step, params, err)
+            for kind, err in zip(kinds, max_errs)
+        ]
         checked += len(rows)
 
-    return GradCheckResult(
-        max_relative_error=max_err,
-        num_points_checked=checked,
-        num_skipped_near_kink=config.num_samples - checked,
-    )
+    return [
+        GradCheckResult(
+            max_relative_error=err,
+            num_points_checked=checked,
+            num_skipped_near_kink=config.num_samples - checked,
+        )
+        for err in max_errs
+    ]

@@ -11,6 +11,7 @@ the convex Huber and squared curves.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -51,6 +52,10 @@ class SweepConfig:
             raise ValueError("x_center_end must exceed x_center_start")
         if self.num_samples < 2:
             raise ValueError(f"num_samples must be >= 2, got {self.num_samples}")
+        # After the range check, so a non-number still fails it with the
+        # TypeError that rerun reports as a value of the wrong type.
+        if not isinstance(self.num_samples, numbers.Integral):
+            raise ValueError(f"num_samples must be an integer, got {self.num_samples!r}")
         HuberParams(self.delta)
 
 
@@ -139,16 +144,23 @@ def convexity_violations(rows: list[SweepRow], column: str) -> np.ndarray:
     xs = np.array([r.x_center for r in rows])
     ys = np.array([getattr(r, column) for r in rows])
     # Cell (a, b) of i's block is k = i + 2 + a, j = i + 1 + b; j < k is b <= a.
+    # The masks of the i with a violation are kept and counted first, so the
+    # result is allocated once and filled in place, not joined from blocks.
     below = np.tri(max(n - 2, 0), dtype=bool)
-    blocks = [np.empty((0, 3), dtype=np.int32)]
+    masks = {}
     for i in range(n - 2):
         x_k, y_k = xs[i + 2 :, None], ys[i + 2 :, None]
         t = (x_k - xs[i + 1 : -1]) / (x_k - xs[i])
         bound = t * ys[i] + (1.0 - t) * y_k
-        a, b = np.nonzero(below[i:, i:] & (ys[i + 1 : -1] > bound + 1e-9))
-        block = np.empty((a.size, 3), dtype=np.int32)
-        block[:, 0] = i
-        block[:, 1] = b + (i + 1)
-        block[:, 2] = a + (i + 2)
-        blocks.append(block)
-    return np.concatenate(blocks)
+        mask = below[i:, i:] & (ys[i + 1 : -1] > bound + 1e-9)
+        if mask.any():
+            masks[i] = mask
+    triples = np.empty((sum(map(np.count_nonzero, masks.values())), 3), dtype=np.int32)
+    end = 0
+    for i, mask in masks.items():
+        a, b = np.nonzero(mask)
+        start, end = end, end + a.size
+        triples[start:end, 0] = i
+        triples[start:end, 1] = b + (i + 1)
+        triples[start:end, 2] = a + (i + 2)
+    return triples

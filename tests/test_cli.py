@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from boxloss import gradients
 from boxloss import (
     FitConfig,
     SweepConfig,
@@ -161,6 +162,19 @@ class TestGradcheckCommand:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
+
+    def test_all_kinds_draw_the_samples_once(self, monkeypatch, capsys):
+        drawn = []
+        sample_pair = gradients._sample_pair
+
+        def counted(rng, regime):
+            drawn.append(regime)
+            return sample_pair(rng, regime)
+
+        monkeypatch.setattr(gradients, "_sample_pair", counted)
+        assert main(["gradcheck", "--loss", "all", "--samples", "50"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert len(drawn) == 50
 
     def test_library_error_prints_subcommand_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -335,6 +349,28 @@ class TestFitCommand:
             err = capsys.readouterr().err
             assert err.splitlines()[-1].endswith(
                 "frame width and height must be finite, got inf x inf"
+            )
+            assert "Traceback" not in err
+            assert not out.exists()
+
+    def test_size_at_the_frame_edge_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        frame, size = "-783.8800084129549,0,857.0542798774925,2000", "1640.9342882904475"
+        config = tmp_path / "fit.cfg"
+        config.write_text(
+            f"frame = {frame}\ntarget_size_min = {size}\ntarget_size_max = {size}\n"
+        )
+        for argv in (
+            ["fit", "--out", str(out), f"--frame={frame}", "--size-range", f"{size},{size}"],
+            ["fit", "--out", str(out), "--config", str(config)],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--num-pairs", "4"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.splitlines()[-1] == (
+                "boxloss fit: error: target_size_max=1640.9342882904475 leaves no room "
+                "for a box center in frame (-783.8800084129549, 0.0, 857.0542798774925, 2000.0)"
             )
             assert "Traceback" not in err
             assert not out.exists()
@@ -683,6 +719,47 @@ class TestRerun:
                 },
                 "frame width and height must be finite",
             ),
+            (
+                {
+                    "command": "fit",
+                    "config": {
+                        "batch_size": 4,
+                        "compare": None,
+                        "delta": 1.0,
+                        "frame": [-783.8800084129549, 0.0, 857.0542798774925, 2000.0],
+                        "learning_rate": 0.05,
+                        "loss": "smooth_iou",
+                        "momentum_or_decay": 0.9,
+                        "num_pairs": 4,
+                        "num_seeds": 1,
+                        "optimizer": "rmsprop_like",
+                        "out": "p.csv",
+                        "regime": "mixed",
+                        "scale_sigma": 0.1,
+                        "seed": 0,
+                        "steps": 2,
+                        "target_size_max": 1640.9342882904475,
+                        "target_size_min": 1640.9342882904475,
+                        "translation_sigma": 0.3,
+                    },
+                    "version": __version__,
+                },
+                "target_size_max=1640.9342882904475 leaves no room for a box center",
+            ),
+            (
+                {
+                    "command": "profile",
+                    "config": {
+                        "out": "p.csv",
+                        "delta": 1.0,
+                        "mismatch_scale": 1.0,
+                        "samples": 21.5,
+                        "deltas": None,
+                    },
+                    "version": __version__,
+                },
+                "num_samples must be an integer, got 21.5",
+            ),
         ],
         ids=[
             "not_an_object",
@@ -694,6 +771,8 @@ class TestRerun:
             "fractional_batch_size",
             "overflowing_scale_sigma",
             "infinite_frame_width",
+            "frame_edge_size",
+            "fractional_samples",
         ],
     )
     def test_malformed_manifest_exits_2(self, tmp_path, capsys, monkeypatch, manifest, message):

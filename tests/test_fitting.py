@@ -374,6 +374,23 @@ class TestFitConfigValidation:
         with pytest.raises(ValueError):
             FitConfig(**kwargs)
 
+    def test_rejects_a_size_whose_center_range_rounds_below_zero(self):
+        frame = Box(-783.8800084129549, 0.0, 857.0542798774925, 2000.0)
+        size = 1640.9342882904475
+        assert size <= frame.width  # passes the plain width check
+        assert frame.xmin + size / 2 > frame.xmax - size / 2
+        with pytest.raises(ValueError) as exc:
+            FitConfig(frame=frame, target_size_min=size, target_size_max=size)
+        assert str(exc.value) == (
+            "target_size_max=1640.9342882904475 leaves no room for a box center in "
+            "frame (-783.8800084129549, 0.0, 857.0542798774925, 2000.0)"
+        )
+        # A size that fills the frame exactly still draws in-frame targets.
+        config = FitConfig(
+            target_size_min=100.0, target_size_max=100.0, num_pairs=4, batch_size=4
+        )
+        assert all(_contained(t, config.frame) for t in generate_dataset(config).target)
+
     def test_rejects_unknown_enum_values(self):
         with pytest.raises(ValueError):
             FitConfig(regime="sideways")

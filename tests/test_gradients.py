@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from boxloss import gradients
 from boxloss import (
     Box,
     BoxBatch,
@@ -302,6 +303,10 @@ class TestFiniteDiffCheck:
             GradCheckConfig(num_samples=0)
         with pytest.raises(ValueError):
             GradCheckConfig(regime="sideways")
+        with pytest.raises(ValueError, match="num_samples must be an integer, got 2.5"):
+            GradCheckConfig(num_samples=2.5)
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            GradCheckConfig(seed=1.5)
 
     def test_step_and_tolerance_validation(self):
         with pytest.raises(ValueError):
@@ -343,3 +348,34 @@ class TestFiniteDiffCheck:
         config = GradCheckConfig(num_samples=50, seed=2)
         result = finite_diff_check("squared", config)
         assert result.max_relative_error < 1e-4
+
+
+def _result_fields(result: GradCheckResult) -> tuple:
+    return (
+        float.hex(result.max_relative_error),
+        result.num_points_checked,
+        result.num_skipped_near_kink,
+    )
+
+
+class TestCheckKinds:
+    """gradcheck --loss all draws one sample set and checks every kind on it;
+    each kind's result must be the one its own finite_diff_check gives."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_matches_one_check_per_kind(self, regime, seed):
+        config = GradCheckConfig(num_samples=200, regime=regime, seed=seed)
+        together = gradients._check_kinds(list(LossKind), config, 1e-4, 1e-5)
+        alone = [finite_diff_check(kind, config) for kind in LossKind]
+        assert list(map(_result_fields, together)) == list(map(_result_fields, alone))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_each_kind_keeps_its_own_max_across_chunks(self, monkeypatch, seed):
+        config = GradCheckConfig(num_samples=50, regime="mixed", seed=seed)
+        alone = [finite_diff_check(kind, config) for kind in LossKind]  # one chunk
+        # The maxima differ between kinds, so a max shared between them fails.
+        assert len({r.max_relative_error for r in alone}) > 1
+        monkeypatch.setattr(gradients, "_CHECK_CHUNK", 7)
+        together = gradients._check_kinds(list(LossKind), config, 1e-4, 1e-5)
+        assert list(map(_result_fields, together)) == list(map(_result_fields, alone))

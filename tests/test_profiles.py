@@ -2,6 +2,7 @@
 the scale-mismatch law, the delta study, and the convexity scanner."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -287,6 +288,19 @@ class TestConvexityScan:
         for column in COLUMNS:
             assert _matches_reference(rows, column), column
 
+    def test_result_is_allocated_once(self):
+        # Joining per-i blocks would hold the result twice, a peak of about 2x.
+        rows = sweep(SweepConfig(num_samples=201))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            triples = convexity_violations(rows, "iou")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(triples) == 666366
+        assert peak < 1.5 * triples.nbytes
+
     def test_slack_is_strict(self):
         rows = sweep(SweepConfig(x_center_start=0.0, x_center_end=2.0, num_samples=3))
 
@@ -314,6 +328,8 @@ class TestConfigValidation:
     def test_rejects_bad_sample_count(self):
         with pytest.raises(ValueError):
             SweepConfig(num_samples=1)
+        with pytest.raises(ValueError, match="num_samples must be an integer, got 2.5"):
+            SweepConfig(num_samples=2.5)
 
     def test_rejects_reversed_range(self):
         with pytest.raises(ValueError):
