@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,10 +24,13 @@ __all__ = [
 # allocate unbounded memory.
 _MAX_ORACLE_CELLS = 50_000_000
 
-# The array kernels follow Python float semantics: overflow and invalid
+# Python float semantics for the array kernels: overflow and invalid
 # operations give inf or nan silently, for the callers to detect, instead of
-# raising numpy RuntimeWarnings. Use it only as a decorator, which is
-# reentrant and thread-safe; one errstate cannot be entered twice as a `with`.
+# raising numpy RuntimeWarnings. The public entry points enter it once per
+# call; the kernels they reach (overlap_array, iou_array and the loss and
+# gradient rows) assume their caller has. Use it only as a decorator, which
+# is reentrant and thread-safe; one errstate cannot be entered twice as a
+# `with`.
 _IEEE = np.errstate(all="ignore")
 
 
@@ -58,6 +61,16 @@ def _sign(rng: np.random.Generator) -> float:
     """rng.choice((-1.0, 1.0)): Generator.choice without p draws
     integers(0, pop_size). Pinned by tests/test_draws.py::test_sign_is_numpys."""
     return (-1.0, 1.0)[rng.integers(0, 2)]
+
+
+class _Corners(NamedTuple):
+    """A box's corners as plain floats, unvalidated: a drawn record that iou,
+    area and intersection_dims read like a Box."""
+
+    xmin: float
+    ymin: float
+    xmax: float
+    ymax: float
 
 
 @dataclass(frozen=True)
@@ -198,7 +211,6 @@ def iou(a: Box, b: Box) -> float:
     return min(1.0, max(0.0, inter / union))
 
 
-@_IEEE
 def overlap_array(
     pred: np.ndarray, target: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -230,7 +242,6 @@ def _corner_row(b: Box) -> np.ndarray:
     return np.array([b.corners()])
 
 
-@_IEEE
 def iou_array(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Row-wise iou of two (K, 4) corner arrays, bitwise equal to iou per pair."""
     _, _, inter, union = overlap_array(pred, target)

@@ -12,6 +12,7 @@ byte for byte. Numbers are written with shortest round-trip precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import operator
@@ -376,6 +377,9 @@ def _cmd_rerun(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Built once, at first use: the parser holds no state a parse changes (no
+# mutable defaults, no append actions), and BOXLOSS_SEED is read per run.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boxloss",

@@ -15,12 +15,13 @@ import numbers
 import statistics
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
-from .boxes import _IEEE, Box, BoxBatch, _normal, _uniform, iou, iou_array
+from .boxes import _IEEE, Box, BoxBatch, _Corners, _normal, _uniform, iou, iou_array
 from .gradients import _PAIR_GRAD
-from .losses import _LOSSES, HuberParams, LossKind, _blend_weight
+from .losses import _LOSSES, HuberParams, LossKind, _blend_weight, _mean
 
 # Unused here: fit runs on the array rows of _LOSSES and _PAIR_GRAD. The
 # traced run of bench/worker.py replaces these names on this module.
@@ -193,17 +194,31 @@ def generate_dataset(config: FitConfig) -> BoxBatch:
     whose box size or center shift is not finite raises ValueError naming
     scale_sigma or translation_sigma.
     """
+    pairs = [(Box(*pred), Box(*target)) for pred, target in _draw_pairs(config)]
+    return BoxBatch(*zip(*pairs))
+
+
+def _checked(record: _Corners) -> _Corners:
+    """A drawn record, passed through Box's checks only when its corners might
+    not be finite, so a bad draw raises Box's own ValueError. Drawn boxes are
+    never inverted: their extents are non-negative and rounding is monotone."""
+    if not math.isfinite(sum(record)):
+        Box(*record)
+    return record
+
+
+def _draw_pairs(config: FitConfig) -> Iterator[tuple[_Corners, _Corners]]:
+    """generate_dataset's (predicted, target) corner records, drawn on floats
+    without building a Box; fit reads them as arrays."""
     rng = np.random.default_rng(config.seed)
     frame = config.frame
-    predicted: list[Box] = []
-    targets: list[Box] = []
 
     for _ in range(config.num_pairs):
         w = _uniform(rng, config.target_size_min, config.target_size_max)
         h = _uniform(rng, config.target_size_min, config.target_size_max)
         cx = _uniform(rng, frame.xmin + w / 2, frame.xmax - w / 2)
         cy = _uniform(rng, frame.ymin + h / 2, frame.ymax - h / 2)
-        target = Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+        target = _checked(_Corners(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
 
         for _attempt in range(_MAX_ATTEMPTS):
             try:
@@ -222,8 +237,8 @@ def generate_dataset(config: FitConfig) -> BoxBatch:
                     f"translation_sigma={config.translation_sigma!r} drew a center shift "
                     "that is not finite"
                 )
-            pred = Box(
-                cx + dx - pw / 2, cy + dy - ph / 2, cx + dx + pw / 2, cy + dy + ph / 2
+            pred = _checked(
+                _Corners(cx + dx - pw / 2, cy + dy - ph / 2, cx + dx + pw / 2, cy + dy + ph / 2)
             )
             if _regime_accepts(config.regime, iou(pred, target)):
                 break
@@ -232,10 +247,7 @@ def generate_dataset(config: FitConfig) -> BoxBatch:
                 f"could not satisfy regime {config.regime.value!r} within "
                 f"{_MAX_ATTEMPTS} attempts; widen the perturbation or relax the regime"
             )
-        predicted.append(pred)
-        targets.append(target)
-
-    return BoxBatch(tuple(predicted), tuple(targets))
+        yield pred, target
 
 
 @_IEEE
@@ -245,15 +257,16 @@ def fit(config: FitConfig) -> FitResult:
     Minibatches walk a seed-shuffled order with sequential wraparound. Raw
     per-pair gradients update each pair's own block of four coordinates;
     after every optimizer step, inverted boxes are projected back to
-    validity. Each state is evaluated once, over the full dataset: its IoUs,
-    the configured loss and the mean IoU, which the trajectories record. A
-    step's blend weight lam is its minibatch's mean IoU, read from the IoUs
-    of the state the step starts from. If a coordinate or the loss turns
-    non-finite, the step is rolled back, diverged is set, and the remaining
-    trajectory repeats the last finite state; overflow is therefore not an
-    error.
+    validity. The dataset's IoUs are computed once, and each step recomputes
+    only the rows its minibatch moved. Each state's configured loss and mean
+    IoU are then evaluated over the full dataset, and the trajectories
+    record them; every mean is summed left to right. A step's blend weight
+    lam is its minibatch's mean IoU, read from the IoUs of the state the
+    step starts from. If a coordinate or the loss turns non-finite, the step
+    is rolled back, diverged is set, and the remaining trajectory repeats
+    the last finite state; overflow is therefore not an error.
     """
-    params, targets = generate_dataset(config).arrays()
+    params, targets = map(np.array, zip(*_draw_pairs(config)))
     state = np.zeros_like(params)
     huber = HuberParams(config.delta)
     grad, losses = _PAIR_GRAD[config.loss_kind], _LOSSES[config.loss_kind]
@@ -265,13 +278,12 @@ def fit(config: FitConfig) -> FitResult:
     offsets = np.arange(config.batch_size)
 
     # Every kind's loss row gets the mean IoU as lam; only the smooth kind reads it.
-    def evaluate() -> tuple[np.ndarray, float, float]:
-        ious = iou_array(params, targets)
+    def evaluate() -> tuple[float, float]:
         mean_iou = _blend_weight(ious)
-        loss = losses(params, targets, ious, mean_iou, huber)
-        return ious, sum(loss.tolist()) / k, mean_iou
+        return _mean(losses(params, targets, ious, mean_iou, huber)), mean_iou
 
-    ious, loss, mean_iou = evaluate()
+    ious = iou_array(params, targets)
+    loss, mean_iou = evaluate()
     loss_traj = [loss]
     iou_traj = [mean_iou]
     diverged = False
@@ -296,8 +308,11 @@ def fit(config: FitConfig) -> FitResult:
             moved[inverted, hi] = mid
         state[idx] = batch_state
         params[idx] = moved
+        # idx has no repeats (batch_size <= num_pairs), and a rolled-back
+        # step ends the loop, so no stale row is ever read.
+        ious[idx] = iou_array(moved, batch_targets)
 
-        ious, loss, mean_iou = evaluate()
+        loss, mean_iou = evaluate()
         if not (np.isfinite(moved).all() and math.isfinite(loss)):
             params[idx] = batch
             diverged = True

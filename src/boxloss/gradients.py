@@ -64,16 +64,19 @@ class GradVector:
         return (self.d_xmin, self.d_ymin, self.d_xmax, self.d_ymax)
 
 
+@_IEEE
 def grad_huber(pred: Box, target: Box, params: HuberParams = HuberParams()) -> GradVector:
     """Componentwise z_i inside |z_i| < delta, else delta*sign(z_i)."""
     grad = _grad_huber_rows(_corner_row(pred), _corner_row(target), params.delta)
     return GradVector(*grad[0].tolist())
 
 
+@_IEEE
 def grad_squared(pred: Box, target: Box) -> GradVector:
     return GradVector(*_grad_squared_rows(_corner_row(pred), _corner_row(target))[0].tolist())
 
 
+@_IEEE
 def grad_iou_loss(pred: Box, target: Box) -> GradVector:
     """Quotient-rule gradient of 1 - IoU.
 
@@ -88,18 +91,15 @@ def grad_iou_loss(pred: Box, target: Box) -> GradVector:
     return GradVector(*_grad_iou_rows(_corner_row(pred), _corner_row(target))[0].tolist())
 
 
-@_IEEE
 def _grad_huber_rows(pred: np.ndarray, target: np.ndarray, delta: float) -> np.ndarray:
     z = pred - target
     return np.where(np.abs(z) < delta, z, np.copysign(delta, z))
 
 
-@_IEEE
 def _grad_squared_rows(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     return pred - target
 
 
-@_IEEE
 def _grad_iou_rows(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Quotient-rule gradient of 1 - IoU per row of two (K, 4) corner arrays,
     with the module's tie conventions and an exact zero row on the plateau."""
@@ -139,6 +139,7 @@ _PAIR_GRAD = {
 }
 
 
+@_IEEE
 def grad_smooth_iou(
     batch: BoxBatch, k: int, params: HuberParams = HuberParams()
 ) -> GradVector:
@@ -228,7 +229,6 @@ def _sample_pair(rng: np.random.Generator, regime: str) -> tuple[float, ...]:
     return pred + (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
 
 
-@_IEEE
 def _near_kink(pred: np.ndarray, target: np.ndarray, delta: float, margin: float) -> np.ndarray:
     """(N,) mask of the pairs, given as (N, 4) corner arrays, with any
     coordinate within `margin` of a non-smooth point."""
@@ -238,7 +238,6 @@ def _near_kink(pred: np.ndarray, target: np.ndarray, delta: float, margin: float
     return near.any(axis=1) | (np.abs(iw) <= margin) | (np.abs(ih) <= margin)
 
 
-@_IEEE
 def _max_error(
     kind: LossKind,
     pred: np.ndarray,
@@ -288,6 +287,7 @@ def finite_diff_check(
     return _check_kinds([kind], config, tolerance, step, params)[0]
 
 
+@_IEEE
 def _check_kinds(
     kinds: list[LossKind],
     config: GradCheckConfig,

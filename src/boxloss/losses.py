@@ -67,11 +67,13 @@ def huber_scalar(z: float, params: HuberParams = HuberParams()) -> float:
     return float(_huber_terms(z, params.delta))
 
 
+@_IEEE
 def huber_box(pred: Box, target: Box, params: HuberParams = HuberParams()) -> float:
     """Per-coordinate Huber terms summed (not averaged) over the four corners."""
     return float(_huber_rows(_corner_row(pred), _corner_row(target), params.delta)[0])
 
 
+@_IEEE
 def squared_box(pred: Box, target: Box) -> float:
     """Summed 0.5 * (pred_i - target_i)**2 over the four corner coordinates."""
     return float(_squared_rows(_corner_row(pred), _corner_row(target))[0])
@@ -98,17 +100,23 @@ class LossReport:
     reduced_loss: float
 
 
-@_IEEE
 def _blend(lam, a, b):
     """lam * a + (1 - lam) * b, elementwise over arrays; for finite terms,
     lam == 0 gives b and lam == 1 gives a bitwise."""
     return lam * a + (1.0 - lam) * b
 
 
+def _mean(values: np.ndarray) -> float:
+    """Arithmetic mean of a non-empty 1-D array, summed strictly left to
+    right: not pairwise like numpy's sum, nor compensated like Python's sum
+    since 3.12. The leading 0.0 + turns an all -0.0 sum into +0.0, so the
+    bits are those of Python 3.11's sum(values.tolist()) / len(values)."""
+    return (0.0 + float(np.add.accumulate(values)[-1])) / len(values)
+
+
 def _blend_weight(ious: np.ndarray) -> float:
-    """The smooth kind's lam: the arithmetic mean of the batch's IoUs, summed
-    left to right like Python's sum, not pairwise like numpy's."""
-    return sum(ious.tolist()) / len(ious)
+    """The smooth kind's lam: the mean of the batch's IoUs, through _mean."""
+    return _mean(ious)
 
 
 def _corner_sum(terms: np.ndarray) -> np.ndarray:
@@ -116,12 +124,10 @@ def _corner_sum(terms: np.ndarray) -> np.ndarray:
     return terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
 
 
-@_IEEE
 def _huber_rows(pred: np.ndarray, target: np.ndarray, delta: float) -> np.ndarray:
     return _corner_sum(_huber_terms(pred - target, delta))
 
 
-@_IEEE
 def _squared_rows(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     d = pred - target
     return _corner_sum(0.5 * d * d)
@@ -157,6 +163,7 @@ def smooth_iou_batch(batch: BoxBatch, params: HuberParams = HuberParams()) -> Lo
     return loss_batch(batch, LossKind.SMOOTH_IOU, params)
 
 
+@_IEEE
 def loss_batch(
     batch: BoxBatch, kind: LossKind, params: HuberParams = HuberParams()
 ) -> LossReport:
@@ -165,10 +172,10 @@ def loss_batch(
     pred, target = batch.arrays()
     ious = iou_array(pred, target)
     lam = _blend_weight(ious) if kind is LossKind.SMOOTH_IOU else _FIXED_LAM[kind]
-    losses = _LOSSES[kind](pred, target, ious, lam, params).tolist()
+    losses = _LOSSES[kind](pred, target, ious, lam, params)
     return LossReport(
-        per_example_loss=tuple(losses),
+        per_example_loss=tuple(losses.tolist()),
         per_example_iou=tuple(ious.tolist()),
         lam=lam,
-        reduced_loss=sum(losses) / len(batch),
+        reduced_loss=_mean(losses),
     )

@@ -88,6 +88,7 @@ def sweep(config: SweepConfig = SweepConfig()) -> list[SweepRow]:
     return sweep_mismatch(config)
 
 
+@_IEEE
 def sweep_mismatch(config: SweepConfig = SweepConfig(), scale: float = 1.0) -> list[SweepRow]:
     """Sweep with the sliding box's width and height multiplied by `scale`.
 

@@ -13,9 +13,17 @@ written with numpy's own `Generator.uniform`, `.normal` and `.choice` calls.
 `tests/test_draws.py` checks that the library's samplers, which draw through
 `boxloss.boxes._uniform`, `_normal` and `_sign`, give the same values bit for
 bit and leave the generator at the same point.
+
+`fit`'s loop as it was before its steps recomputed only the moved IoU rows:
+every state re-evaluated over the full dataset, on the `Box`-built dataset of
+`generate_dataset` below, with every mean an explicit left-to-right
+`functools.reduce`. `tests/test_fitting.py` checks that the library's `fit`
+gives the same `FitResult` bit for bit.
 """
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -23,6 +31,7 @@ from boxloss import (
     Box,
     BoxBatch,
     FitConfig,
+    FitResult,
     GradVector,
     HuberParams,
     InfeasibleDatasetError,
@@ -30,9 +39,10 @@ from boxloss import (
     intersection_dims,
     iou,
 )
-from boxloss.boxes import _IEEE
-from boxloss.fitting import _MAX_ATTEMPTS, _regime_accepts
-from boxloss.gradients import REGIMES
+from boxloss.boxes import _IEEE, iou_array
+from boxloss.fitting import _MAX_ATTEMPTS, _RMSPROP_EPS, OptimizerKind, _regime_accepts
+from boxloss.gradients import _PAIR_GRAD, REGIMES
+from boxloss.losses import _LOSSES
 
 
 def huber_scalar(z: float, params: HuberParams = HuberParams()) -> float:
@@ -209,3 +219,75 @@ def generate_dataset(config: FitConfig) -> BoxBatch:
         targets.append(target)
 
     return BoxBatch(tuple(predicted), tuple(targets))
+
+
+def _mean(values: np.ndarray) -> float:
+    """Mean summed left to right from 0.0, as Python 3.11's sum does."""
+    return functools.reduce(operator.add, values.tolist(), 0.0) / len(values)
+
+
+@_IEEE
+def fit(config: FitConfig) -> FitResult:
+    """Descend on the predicted boxes' corner coordinates, re-evaluating every
+    state over the full dataset."""
+    params, targets = generate_dataset(config).arrays()
+    state = np.zeros_like(params)
+    huber = HuberParams(config.delta)
+    grad, losses = _PAIR_GRAD[config.loss_kind], _LOSSES[config.loss_kind]
+    lr = config.learning_rate
+    rho = config.momentum_or_decay
+    k = config.num_pairs
+
+    order = np.random.default_rng(config.seed).permutation(k)
+    offsets = np.arange(config.batch_size)
+
+    def evaluate() -> tuple[np.ndarray, float, float]:
+        ious = iou_array(params, targets)
+        mean_iou = _mean(ious)
+        loss = losses(params, targets, ious, mean_iou, huber)
+        return ious, _mean(loss), mean_iou
+
+    ious, loss, mean_iou = evaluate()
+    loss_traj = [loss]
+    iou_traj = [mean_iou]
+    diverged = False
+    cursor = 0
+    for _ in range(config.steps):
+        idx = order[(cursor + offsets) % k]
+        cursor = (cursor + config.batch_size) % k
+
+        batch, batch_targets = params[idx], targets[idx]
+        g = grad(batch, batch_targets, _mean(ious[idx]), huber)
+        if config.optimizer is OptimizerKind.RMSPROP_LIKE:
+            batch_state = rho * state[idx] + (1.0 - rho) * g * g
+            moved = batch - lr * g / (np.sqrt(batch_state) + _RMSPROP_EPS)
+        else:
+            batch_state = rho * state[idx] + g
+            moved = batch - lr * batch_state
+        for lo, hi in ((0, 2), (1, 3)):
+            inverted = moved[:, hi] < moved[:, lo]
+            mid = 0.5 * (moved[inverted, lo] + moved[inverted, hi])
+            moved[inverted, lo] = mid
+            moved[inverted, hi] = mid
+        state[idx] = batch_state
+        params[idx] = moved
+
+        ious, loss, mean_iou = evaluate()
+        if not (np.isfinite(moved).all() and math.isfinite(loss)):
+            params[idx] = batch
+            diverged = True
+            break
+        loss_traj.append(loss)
+        iou_traj.append(mean_iou)
+
+    pad = config.steps + 1 - len(loss_traj)
+    loss_traj += loss_traj[-1:] * pad
+    iou_traj += iou_traj[-1:] * pad
+    return FitResult(
+        mean_iou_initial=iou_traj[0],
+        mean_iou_final=iou_traj[-1],
+        loss_trajectory=tuple(loss_traj),
+        iou_trajectory=tuple(iou_traj),
+        diverged=diverged,
+        final_predicted=tuple(Box(*row) for row in params.tolist()),
+    )

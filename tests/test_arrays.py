@@ -9,32 +9,41 @@ checked against the same references, and must return Python floats. Batches
 mix pairs that overlap, pairs on the IoU plateau, pairs with a shared edge,
 zero-width boxes and identical pairs; the `@example`s pin the cases that
 tell the kernel's kink conventions and summation order apart, so a clean
-checkout tests them without a saved Hypothesis database.
+checkout tests them without a saved Hypothesis database. The kernels assume
+their caller has entered `_IEEE`, so the tests that call them directly enter
+it themselves, as the public entry points do.
 """
 
 import struct
+import warnings
 
 import numpy as np
 import reference
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from boxloss import gradients
 from boxloss import (
     Box,
     BoxBatch,
+    GradCheckConfig,
     GradVector,
     HuberParams,
     LossKind,
+    SweepConfig,
     grad_huber,
     grad_iou_loss,
+    grad_smooth_iou,
     grad_squared,
     huber_box,
     huber_scalar,
     iou,
     iou_loss,
+    loss_batch,
     squared_box,
+    sweep_mismatch,
 )
-from boxloss.boxes import iou_array
+from boxloss.boxes import _IEEE, iou_array
 from boxloss.gradients import _PAIR_GRAD
 from boxloss.losses import _LOSSES
 
@@ -87,6 +96,7 @@ def _mean_iou(pairs) -> float:
 
 
 @given(_BATCH)
+@_IEEE
 def test_iou_rows_match_scalar(pairs):
     pred, target = _arrays(pairs)
     assert _bits(iou_array(pred, target).tolist()) == _bits(iou(p, t) for p, t in pairs)
@@ -100,6 +110,7 @@ def test_iou_rows_match_scalar(pairs):
     pairs=[(Box(1.5, 2**-26, 2.0 + 2**-26, 1.0 + 2**-26), Box(0.0, 0.0, 2.0, 1.0))], delta=2.0
 )
 @example(pairs=[(Box(-3.0, 0.0, 4.0, 5.0), Box(-6.0, -3.0, 2.0, 6.0))], delta=1.0)
+@_IEEE
 def test_loss_rows_match_scalar(pairs, delta):
     params = HuberParams(delta)
     lam = _mean_iou(pairs)
@@ -146,6 +157,7 @@ def test_loss_rows_match_scalar(pairs, delta):
 @example(pairs=[(Box(0.0, 0.0, 2.0, 3.0),) * 2], delta=1.0)
 @example(pairs=[(Box(1.0, 0.0, 2.0, 1.0), Box(0.0, 0.0, 1.0, 1.0))], delta=1.0)
 @example(pairs=[(Box(-3.0, 0.0, 4.0, 5.0), Box(-6.0, -3.0, 2.0, 6.0))], delta=1.0)
+@_IEEE
 def test_gradient_rows_match_scalar(pairs, delta):
     params = HuberParams(delta)
     lam = _mean_iou(pairs)
@@ -182,6 +194,7 @@ def test_gradient_rows_match_scalar(pairs, delta):
 
 
 @given(st.lists(_disjoint_pair(), min_size=1, max_size=12), _DELTA)
+@_IEEE
 def test_all_disjoint_batch_reproduces_huber_rows(pairs, delta):
     params = HuberParams(delta)
     pred, target = _arrays(pairs)
@@ -204,3 +217,49 @@ def test_all_identical_batch_gives_exact_zeros(boxes, delta):
     assert lam == 1.0
     losses = _LOSSES[LossKind.SMOOTH_IOU](pred, target, ious, lam, HuberParams(delta))
     assert _bits(losses.tolist()) == _bits([0.0] * len(boxes))
+
+
+# Corners near the largest float: the boxes' widths, areas and corner
+# differences overflow, and the union is inf - inf.
+_HUGE = (
+    Box(-1.7e308, -1.7e308, 1.7e308, 1.7e308),
+    Box(1e308, -1e308, 1.7e308, 1.6e308),
+)
+
+
+def test_entry_points_overflow_without_warnings(monkeypatch):
+    # The kernels leave errstate to the public entry points that reach them.
+    pred, target = _HUGE
+    batch = BoxBatch(_HUGE, _HUGE[::-1])
+    corners = pred.corners() + target.corners()
+    monkeypatch.setattr(gradients, "_sample_pair", lambda rng, regime: corners)
+    huge_sweep = SweepConfig(
+        target=Box(-1e308, -1e308, 1e308, 1e308),
+        pred_width=1.5e308,
+        pred_height=1.5e308,
+        y_center=0.0,
+        x_center_start=-1e307,
+        x_center_end=1e307,
+        num_samples=5,
+    )
+    calls = {
+        "huber_box": lambda: huber_box(pred, target),
+        "squared_box": lambda: squared_box(pred, target),
+        "grad_huber": lambda: grad_huber(pred, target),
+        "grad_squared": lambda: grad_squared(pred, target),
+        "grad_iou_loss": lambda: grad_iou_loss(pred, target),
+        "grad_smooth_iou": lambda: grad_smooth_iou(batch, 1),
+        "_check_kinds": lambda: gradients._check_kinds(
+            list(LossKind), GradCheckConfig(num_samples=3), 1e-4, 1e-5
+        ),
+        "sweep_mismatch": lambda: sweep_mismatch(huge_sweep),
+        **{
+            f"loss_batch[{kind.value}]": lambda kind=kind: loss_batch(batch, kind)
+            for kind in LossKind
+        },
+    }
+    for name, call in calls.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [str(w.message) for w in caught] == [], name

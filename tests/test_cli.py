@@ -375,6 +375,26 @@ class TestFitCommand:
             assert "Traceback" not in err
             assert not out.exists()
 
+    def test_drawn_corner_overflow_exits_2(self, tmp_path, capsys):
+        # Every setting is finite, but a drawn prediction's center shift
+        # carries its corners past the largest float.
+        out = tmp_path / "run"
+        argv = [
+            "fit", "--out", str(out), "--frame", "0,0,1.79e308,1.79e308",
+            "--size-range", "1e300,1e300", "--translation-sigma", "1e7",
+            "--num-pairs", "50", "--steps", "2", "--seed", "0",
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert [line for line in err.splitlines() if "error" in line] == [
+            "boxloss fit: error: xmin must be finite, got inf"
+        ]
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_compare_defaults_to_compare_losses_seed_count(self, tmp_path):
         outdir = self._run(tmp_path, "--compare", "huber")
         default = inspect.signature(compare_losses).parameters["num_seeds"].default
@@ -425,6 +445,41 @@ class TestFitCommand:
         assert err.endswith(": huber seed 3, huber seed 4\n")
         assert err.startswith("warning: ") and err.count("\n") == 1
         assert (outdir / "summary.csv").exists()
+
+
+class TestParserReuse:
+    def test_main_builds_the_parser_once(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        _build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for _ in range(2):
+            assert main(["profile", "--out", str(tmp_path / "p.csv"), "--samples", "5"]) == 0
+        assert built.count("boxloss") == 1
+
+    def test_a_call_leaves_nothing_for_the_next(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--out", str(out), "--samples", "x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            "boxloss profile: error: argument --samples: invalid int value: 'x'"
+        )
+        assert not out.exists()
+
+        # A value set by one call is not the next call's default.
+        assert main(["profile", "--out", str(out), "--delta", "2.0", "--samples", "5"]) == 0
+        assert main(["profile", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "p.manifest.json").read_text())
+        assert manifest["config"]["delta"] == SweepConfig.delta
+        assert manifest["config"]["samples"] == SweepConfig.num_samples
+        assert len(_read(out)) == SweepConfig.num_samples + 1
 
 
 class TestConfigFile:

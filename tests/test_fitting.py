@@ -1,12 +1,14 @@
 """Synthetic box-fitting: dataset generation, the optimizer loop, divergence
 handling, and multi-seed loss comparisons."""
 
+import itertools
 import math
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import reference
 
 from boxloss import (
     Box,
@@ -290,6 +292,40 @@ class TestFit:
         result = fit(config)
         assert len(result.loss_trajectory) == 31
         assert all(math.isfinite(v) for v in result.loss_trajectory)
+
+    def test_matches_the_full_re_evaluation_loop_bitwise(self):
+        # Each step recomputes only its minibatch's IoU rows; the reference
+        # re-evaluates the whole dataset every step. The large learning
+        # rates make runs diverge, so the rolled-back step's stale rows are
+        # covered too.
+        def bits(result):
+            floats = [
+                result.mean_iou_initial,
+                result.mean_iou_final,
+                *result.loss_trajectory,
+                *result.iou_trajectory,
+                *(c for box in result.final_predicted for c in box.corners()),
+            ]
+            return result.diverged, [v.hex() for v in floats]
+
+        diverged = 0
+        grid = itertools.product(
+            list(LossKind), list(OptimizerKind), (4, 20), (0.05, 5.0, 1e308), (0, 1)
+        )
+        for kind, optimizer, batch_size, lr, seed in grid:
+            config = FitConfig(
+                num_pairs=20,
+                steps=40,
+                loss_kind=kind,
+                optimizer=optimizer,
+                batch_size=batch_size,
+                learning_rate=lr,
+                seed=seed,
+            )
+            result = fit(config)
+            assert bits(result) == bits(reference.fit(config)), config
+            diverged += result.diverged
+        assert diverged > 0
 
 
 class TestCompareLosses:

@@ -1,9 +1,13 @@
 """Loss values: Huber branches, squared, IoU loss, and the blended batch loss
 with its exact limit behavior."""
 
+import functools
 import math
+import operator
 import statistics
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -21,6 +25,8 @@ from boxloss import (
     smooth_iou_batch,
     squared_box,
 )
+from boxloss.boxes import _IEEE
+from boxloss.losses import _mean
 
 TARGET = Box(0.0, 0.0, 10.0, 10.0)
 
@@ -270,3 +276,30 @@ class TestLossBatch:
             report = loss_batch(batch, kind)
             assert len(report.per_example_iou) == len(pairs)
             assert all(0.0 <= v <= 1.0 for v in report.per_example_iou)
+
+
+# ---------------------------------------------------------------------------
+# the one reduction
+
+
+class TestMean:
+    def test_sums_left_to_right_not_compensated(self):
+        # Compensated summation (Python's sum since 3.12) gives 1/3 here.
+        assert _mean(np.array([1e16, 1.0, -1e16])).hex() == (0.0).hex()
+
+    def test_negative_zeros_sum_to_positive_zero(self):
+        assert _mean(np.array([-0.0, -0.0, -0.0])).hex() == (0.0).hex()
+
+    # Under _IEEE, as every caller runs it: a sum may overflow or meet inf - inf.
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=30))
+    @example([1e16, 1.0, -1e16])
+    @example([-0.0])
+    @example([-0.0, 0.0, -0.0])
+    @example([1e308, 1e308, -1e308])
+    @example([math.inf, -math.inf, 1.0])
+    @_IEEE
+    def test_is_a_left_to_right_reduce_from_zero(self, xs):
+        want = functools.reduce(operator.add, xs, 0.0) / len(xs)
+        got = _mean(np.array(xs))
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", want)
