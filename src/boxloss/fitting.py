@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .boxes import _IEEE, Box, BoxBatch, _Corners, _normal, _uniform, iou, iou_array
+from .boxes import _IEEE, Box, BoxBatch, _Corners, _normal_from, _uniform_from, iou, iou_array
 from .gradients import _PAIR_GRAD
 from .losses import _LOSSES, HuberParams, LossKind, _blend_weight, _mean
 
@@ -192,7 +192,8 @@ def generate_dataset(config: FitConfig) -> BoxBatch:
     draws that violate the overlap regime are rejected and resampled, and a
     pair that exhausts its attempts raises InfeasibleDatasetError. A draw
     whose box size or center shift is not finite raises ValueError naming
-    scale_sigma or translation_sigma.
+    scale_sigma or translation_sigma, and a target that rounds to zero width
+    or height, far from the origin, raises ValueError naming the frame.
     """
     pairs = [(Box(*pred), Box(*target)) for pred, target in _draw_pairs(config)]
     return BoxBatch(*zip(*pairs))
@@ -209,29 +210,43 @@ def _checked(record: _Corners) -> _Corners:
 
 def _draw_pairs(config: FitConfig) -> Iterator[tuple[_Corners, _Corners]]:
     """generate_dataset's (predicted, target) corner records, drawn on floats
-    without building a Box; fit reads them as arrays."""
+    without building a Box; fit reads them as arrays.
+
+    The draws keep the order of one numpy call per scalar, in two block
+    calls: a pair's w, h, cx and cy are one rng.random(4), and each attempt's
+    two size jitters and two center shifts one rng.standard_normal(4). A
+    target that the frame's float spacing rounds to zero width or height
+    raises ValueError naming the frame."""
     rng = np.random.default_rng(config.seed)
     frame = config.frame
 
     for _ in range(config.num_pairs):
-        w = _uniform(rng, config.target_size_min, config.target_size_max)
-        h = _uniform(rng, config.target_size_min, config.target_size_max)
-        cx = _uniform(rng, frame.xmin + w / 2, frame.xmax - w / 2)
-        cy = _uniform(rng, frame.ymin + h / 2, frame.ymax - h / 2)
+        u = iter(rng.random(4).tolist()).__next__
+        w = _uniform_from(u, config.target_size_min, config.target_size_max)
+        h = _uniform_from(u, config.target_size_min, config.target_size_max)
+        cx = _uniform_from(u, frame.xmin + w / 2, frame.xmax - w / 2)
+        cy = _uniform_from(u, frame.ymin + h / 2, frame.ymax - h / 2)
         target = _checked(_Corners(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
+        if not (target.xmin < target.xmax and target.ymin < target.ymax):
+            raise ValueError(
+                f"frame {frame.corners()} is too large for target sizes "
+                f"[{config.target_size_min!r}, {config.target_size_max!r}]: a target "
+                f"drawn at center ({cx!r}, {cy!r}) rounds to zero width or height"
+            )
 
         for _attempt in range(_MAX_ATTEMPTS):
+            z = iter(rng.standard_normal(4).tolist()).__next__
             try:
-                pw = w * math.exp(_normal(rng, config.scale_sigma))
-                ph = h * math.exp(_normal(rng, config.scale_sigma))
+                pw = w * math.exp(_normal_from(z, config.scale_sigma))
+                ph = h * math.exp(_normal_from(z, config.scale_sigma))
             except OverflowError:
                 pw = ph = math.inf
             if not (math.isfinite(pw) and math.isfinite(ph)):
                 raise ValueError(
                     f"scale_sigma={config.scale_sigma!r} drew a box size that is not finite"
                 )
-            dx = _normal(rng, config.translation_sigma * w)
-            dy = _normal(rng, config.translation_sigma * h)
+            dx = _normal_from(z, config.translation_sigma * w)
+            dy = _normal_from(z, config.translation_sigma * h)
             if not (math.isfinite(dx) and math.isfinite(dy)):
                 raise ValueError(
                     f"translation_sigma={config.translation_sigma!r} drew a center shift "

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import _IEEE, Box, BoxBatch, _corner_row, _signed_overlap, iou_array
-from .boxes import _normal, _sign, _uniform, overlap_array
+from .boxes import _normal, _sign, _uniform, _uniform_from, overlap_array
 # Unused here; bench/worker.py's traced run replaces iou on this module by name.
 from .boxes import iou  # noqa: F401
 from .losses import _LOSSES, HuberParams, LossKind, _blend, _blend_weight
@@ -49,6 +49,11 @@ REGIMES = ("mixed", "partial", "nested", "shifted", "disjoint")
 # finite_diff_check samples, kink-filters and evaluates pairs in batches of
 # this many, so its memory does not grow with num_samples.
 _CHECK_CHUNK = 4096
+
+# Doubles _sample_pair draws in its first block, per geometric regime: the
+# target's w, h, cx and cy, then the regime's own up to its first Gaussian or
+# integers call.
+_LEAD_DOUBLES = {"partial": 4, "nested": 8, "shifted": 5, "disjoint": 4}
 
 
 @dataclass(frozen=True)
@@ -186,43 +191,53 @@ class GradCheckResult:
 
 def _sample_pair(rng: np.random.Generator, regime: str) -> tuple[float, ...]:
     """Draw one pair in the given overlap regime: the predicted box's four
-    corners, then the target's."""
+    corners, then the target's.
+
+    The draws keep the order of one numpy call per scalar, but a run of
+    doubles with no other call in between is one rng.random(n) block: the
+    target's w, h, cx and cy together with the regime's doubles that follow
+    them (_LEAD_DOUBLES), and disjoint's three doubles after its two
+    Gaussians. The regime pick, disjoint's axis and every _sign stay one
+    integers call each, in place. The two Gaussians of partial and disjoint
+    stay two calls, since a block of two costs as much."""
     if regime == "mixed":
         regime = REGIMES[1 + int(rng.integers(0, 4))]
+    if regime not in _LEAD_DOUBLES:
+        raise ValueError(f"unknown regime {regime!r}")
 
-    w = _uniform(rng, 6.0, 24.0)
-    h = _uniform(rng, 6.0, 24.0)
-    cx = _uniform(rng, 30.0, 70.0)
-    cy = _uniform(rng, 30.0, 70.0)
+    u = iter(rng.random(_LEAD_DOUBLES[regime]).tolist()).__next__
+    w = _uniform_from(u, 6.0, 24.0)
+    h = _uniform_from(u, 6.0, 24.0)
+    cx = _uniform_from(u, 30.0, 70.0)
+    cy = _uniform_from(u, 30.0, 70.0)
 
     if regime == "nested":
-        pw = w * _uniform(rng, 0.3, 0.7)
-        ph = h * _uniform(rng, 0.3, 0.7)
-        dx = _uniform(rng, -0.4, 0.4) * (w - pw) / 2
-        dy = _uniform(rng, -0.4, 0.4) * (h - ph) / 2
+        pw = w * _uniform_from(u, 0.3, 0.7)
+        ph = h * _uniform_from(u, 0.3, 0.7)
+        dx = _uniform_from(u, -0.4, 0.4) * (w - pw) / 2
+        dy = _uniform_from(u, -0.4, 0.4) * (h - ph) / 2
     elif regime == "shifted":
         pw, ph = w, h
-        dx = _uniform(rng, 0.15, 1.5) * w * _sign(rng)
+        dx = _uniform_from(u, 0.15, 1.5) * w * _sign(rng)
         dy = _uniform(rng, 0.15, 1.5) * h * _sign(rng)
     elif regime == "partial":
         pw = w * math.exp(_normal(rng, 0.15))
         ph = h * math.exp(_normal(rng, 0.15))
         dx = _uniform(rng, 0.25, 0.75) * (w + pw) / 2 * _sign(rng)
         dy = _uniform(rng, 0.25, 0.75) * (h + ph) / 2 * _sign(rng)
-    elif regime == "disjoint":
+    else:  # disjoint
         pw = w * math.exp(_normal(rng, 0.15))
         ph = h * math.exp(_normal(rng, 0.15))
         # Separate by at least 10% of the half-sum along one axis, so the
         # pair sits strictly inside the plateau.
-        dx = _uniform(rng, -0.3, 0.3) * w
-        dy = _uniform(rng, -0.3, 0.3) * h
-        gap = 1.1 + _uniform(rng, 0.0, 2.0)
+        u = iter(rng.random(3).tolist()).__next__
+        dx = _uniform_from(u, -0.3, 0.3) * w
+        dy = _uniform_from(u, -0.3, 0.3) * h
+        gap = 1.1 + _uniform_from(u, 0.0, 2.0)
         if int(rng.integers(0, 2)) == 0:
             dx = gap * (w + pw) / 2 * _sign(rng)
         else:
             dy = gap * (h + ph) / 2 * _sign(rng)
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
 
     px, py = cx + dx, cy + dy
     pred = (px - pw / 2, py - ph / 2, px + pw / 2, py + ph / 2)

@@ -375,6 +375,30 @@ class TestFitCommand:
             assert "Traceback" not in err
             assert not out.exists()
 
+    def test_target_rounded_to_zero_size_exits_2(self, tmp_path, capsys, monkeypatch):
+        # Centers near 1e307 round cx - w/2 and cx + w/2 to the same float, so
+        # the run would fit boxes of width 0 and report mean IoU 0.
+        monkeypatch.delenv("BOXLOSS_SEED", raising=False)
+        out = tmp_path / "run"
+        argv = [
+            "fit", "--out", str(out), "--frame", "0,0,1e308,1e308",
+            "--num-pairs", "4", "--batch-size", "4", "--steps", "2",
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        [line] = [line for line in err.splitlines() if "error" in line]
+        assert line.startswith(
+            "boxloss fit: error: frame (0.0, 0.0, 1e+308, 1e+308) is too large for "
+            "target sizes [5.0, 20.0]: a target drawn at center ("
+        )
+        assert line.endswith(") rounds to zero width or height")
+        assert err.splitlines()[-1] == line
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_drawn_corner_overflow_exits_2(self, tmp_path, capsys):
         # Every setting is finite, but a drawn prediction's center shift
         # carries its corners past the largest float.
@@ -803,6 +827,33 @@ class TestRerun:
             ),
             (
                 {
+                    "command": "fit",
+                    "config": {
+                        "batch_size": 4,
+                        "compare": None,
+                        "delta": 1.0,
+                        "frame": [0.0, 0.0, 1e308, 1e308],
+                        "learning_rate": 0.05,
+                        "loss": "smooth_iou",
+                        "momentum_or_decay": 0.9,
+                        "num_pairs": 4,
+                        "num_seeds": 1,
+                        "optimizer": "rmsprop_like",
+                        "out": "p.csv",
+                        "regime": "mixed",
+                        "scale_sigma": 0.1,
+                        "seed": 0,
+                        "steps": 2,
+                        "target_size_max": 20.0,
+                        "target_size_min": 5.0,
+                        "translation_sigma": 0.3,
+                    },
+                    "version": __version__,
+                },
+                "frame (0.0, 0.0, 1e+308, 1e+308) is too large for target sizes",
+            ),
+            (
+                {
                     "command": "profile",
                     "config": {
                         "out": "p.csv",
@@ -827,6 +878,7 @@ class TestRerun:
             "overflowing_scale_sigma",
             "infinite_frame_width",
             "frame_edge_size",
+            "zero_size_target",
             "fractional_samples",
         ],
     )

@@ -1,4 +1,4 @@
-"""The samplers' scalar draws against numpy's own Generator methods.
+"""The samplers' draws against numpy's own Generator methods.
 
 `boxloss.boxes._uniform`, `_normal` and `_sign` stand in for
 `Generator.uniform`, `.normal` and `.choice((-1.0, 1.0))`. They must give the
@@ -6,6 +6,9 @@ same bits and leave the generator at the same point, or gradcheck and fit
 outputs change silently. Each helper is checked against numpy on a twin
 generator, on the running numpy and platform, and the library's samplers are
 checked against `tests/reference.py`'s copies, which call numpy directly.
+The samplers draw runs of doubles and Gaussians as blocks, through
+`_uniform_from` and `_normal_from`; the numpy property that makes a block
+equal to its scalar calls is pinned here too.
 """
 
 import math
@@ -14,7 +17,7 @@ import numpy as np
 import pytest
 
 from boxloss import REGIMES, Box, FitConfig, OverlapRegime, generate_dataset
-from boxloss.boxes import _normal, _sign, _uniform
+from boxloss.boxes import _normal, _normal_from, _sign, _uniform, _uniform_from
 from boxloss.gradients import _sample_pair
 
 import reference
@@ -121,6 +124,57 @@ def test_uniform_refuses_what_numpy_refuses(lo, hi):
     with pytest.raises(ValueError, match="negative or not finite"):
         _uniform(ours, lo, hi)
     _assert_in_step(ours, numpys)
+
+
+@pytest.mark.parametrize("pending", [False, True], ids=["whole_word", "pending_half"])
+@pytest.mark.parametrize("method", ["random", "standard_normal"])
+def test_block_draw_is_its_scalar_draws(method, pending):
+    """rng.random(n) and rng.standard_normal(n) take whole 64-bit words in
+    the order of n scalar calls and leave the buffered 32-bit half of an odd
+    number of integers calls alone, so a sampler may draw a run of doubles
+    or Gaussians in one call even between two integers calls."""
+    ours, numpys = _twins(7)
+    for rng in (ours, numpys):
+        for _ in range(3 if pending else 2):
+            rng.integers(0, 2)
+    assert ours.bit_generator.state["has_uint32"] == int(pending)
+    for n in (1, 2, 3, 4, 5, 8, 1000):
+        block = getattr(ours, method)(n).tolist()
+        assert _hex(block) == _hex(getattr(numpys, method)() for _ in range(n)), n
+        assert ours.bit_generator.state == numpys.bit_generator.state, n
+    assert int(ours.integers(0, 2**31)) == int(numpys.integers(0, 2**31))
+    _assert_in_step(ours, numpys)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_block_transforms_are_the_one_draw_helpers(seed):
+    """_uniform_from and _normal_from on a block's values give the bits of
+    _uniform and _normal drawing one value per call."""
+    bounds, scales = _bounds(_DRAWS, 300 + seed), _scales(_DRAWS, 400 + seed)
+    ours, theirs = _twins(seed)
+    u = iter(ours.random(_DRAWS).tolist()).__next__
+    assert _hex(_uniform_from(u, lo, hi) for lo, hi in bounds) == _hex(
+        _uniform(theirs, lo, hi) for lo, hi in bounds
+    )
+    z = iter(ours.standard_normal(_DRAWS).tolist()).__next__
+    assert _hex(_normal_from(z, s) for s in scales) == _hex(_normal(theirs, s) for s in scales)
+    _assert_in_step(ours, theirs)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(1.0, 0.5), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (-1e308, 1e308), (3, 2)],
+)
+def test_uniform_from_refuses_before_it_draws(lo, hi):
+    """The range check comes before the draw: a refused range takes no value
+    from a block, and refuses with _uniform's message."""
+    block = iter([0.5]).__next__
+    with pytest.raises(ValueError, match="negative or not finite") as refused:
+        _uniform_from(block, lo, hi)
+    assert block() == 0.5
+    with pytest.raises(ValueError) as one_draw:
+        _uniform(np.random.default_rng(0), lo, hi)
+    assert str(refused.value) == str(one_draw.value)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -109,6 +109,20 @@ class TestGenerateDataset:
         with pytest.raises(ValueError, match=re.escape(message)):
             generate_dataset(config)
 
+    @pytest.mark.parametrize(
+        "frame",
+        [Box(0.0, 0.0, 1e308, 1e308), Box(0.0, 0.0, 100.0, 1e300)],
+        ids=["both_axes", "height_only"],
+    )
+    def test_target_rounded_to_zero_size_names_the_frame(self, frame):
+        # Centers far from the origin are spaced wider than the target sizes,
+        # so cx - w/2 and cx + w/2 round to the same float.
+        config = FitConfig(num_pairs=4, batch_size=4, frame=frame)
+        message = f"frame {frame.corners()} is too large for target sizes [5.0, 20.0]"
+        for run in (generate_dataset, fit):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                run(config)
+
     def test_infeasible_raises(self):
         # Zero perturbation can never produce a disjoint prediction.
         config = FitConfig(
