@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -34,51 +34,29 @@ _MAX_ORACLE_CELLS = 50_000_000
 _IEEE = np.errstate(all="ignore")
 
 
-# Draws with the bits and stream advance of numpy's Generator.uniform,
-# .normal and .choice, minus their per-call argument handling, for the
-# samplers gradients._sample_pair and fitting._draw_pairs. Each transform
-# takes its variate from `draw`, a zero-argument callable: the generator's
-# own rng.random or rng.standard_normal for one draw, or the __next__ of a
-# block drawn in one rng.random(n) or rng.standard_normal(n) call. A block
-# takes whole 64-bit words in the order of n scalar calls and leaves the
-# generator's buffered 32-bit half alone, so the samplers draw each run of
-# consecutive doubles or Gaussians in one call. Only integers, and so
-# _sign, reads that half; those calls stay one call each, in place.
+# numpy's Generator.uniform and .normal as transforms of a drawn variate, for
+# fitting._draw_pairs: given the next double or Gaussian of the generator's
+# stream, each gives the bits numpy's own call would. _draw_pairs draws each
+# pair's four doubles in one rng.random(4) call and each attempt's four
+# Gaussians in one rng.standard_normal(4), which take the 64-bit words of
+# four scalar calls in the same order.
 
 
-def _uniform_from(draw: Callable[[], float], lo: float, hi: float) -> float:
-    """numpy's random_uniform, low + range * next_double, on the bounds
-    converted to float, with its refusal of a range that is negative or not
-    finite; the range is checked before draw is called."""
+def _uniform_from(u: float, lo: float, hi: float) -> float:
+    """numpy's random_uniform, low + range * next_double with next_double u,
+    on the bounds converted to float, with its refusal of a range that is
+    negative or not finite."""
     lo = float(lo)
     span = float(hi) - lo
     if not 0.0 <= span < math.inf:
         raise ValueError(f"uniform range [{lo!r}, {hi!r}] is negative or not finite")
-    return lo + span * draw()
+    return lo + span * u
 
 
-def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    """rng.uniform(lo, hi): _uniform_from on one draw. Pinned by
-    tests/test_draws.py::test_uniform_is_numpys."""
-    return _uniform_from(rng.random, lo, hi)
-
-
-def _normal_from(draw: Callable[[], float], scale: float) -> float:
+def _normal_from(z: float, scale: float) -> float:
     """numpy's random_normal for scale >= 0, loc + scale * gauss with
-    loc = 0.0."""
-    return 0.0 + scale * draw()
-
-
-def _normal(rng: np.random.Generator, scale: float) -> float:
-    """rng.normal(0.0, scale): _normal_from on one draw. Pinned by
-    tests/test_draws.py::test_normal_is_numpys."""
-    return _normal_from(rng.standard_normal, scale)
-
-
-def _sign(rng: np.random.Generator) -> float:
-    """rng.choice((-1.0, 1.0)): Generator.choice without p draws
-    integers(0, pop_size). Pinned by tests/test_draws.py::test_sign_is_numpys."""
-    return (-1.0, 1.0)[rng.integers(0, 2)]
+    loc = 0.0 and gauss z."""
+    return 0.0 + scale * z
 
 
 class _Corners(NamedTuple):

@@ -119,6 +119,9 @@ def _execute_profile(cfg: dict) -> list[str]:
     stem = out[:-4] if out.endswith(".csv") else out
     outputs: list[str] = []
     if cfg["deltas"]:
+        for i, d in enumerate(cfg["deltas"]):
+            if d in cfg["deltas"][:i]:
+                raise ValueError(f"delta {_fmt(d)} is repeated in deltas")
         for d in cfg["deltas"]:
             rows = sweep_mismatch(replace(config, delta=d), cfg["mismatch_scale"])
             path = f"{stem}_delta{_fmt(d)}.csv"

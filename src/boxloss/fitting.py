@@ -102,6 +102,8 @@ class FitConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.num_pairs < 1:
             raise ValueError(f"num_pairs must be >= 1, got {self.num_pairs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.target_size_min <= self.target_size_max:
             raise ValueError(
                 f"target size range must satisfy 0 < min <= max, got "
@@ -221,11 +223,11 @@ def _draw_pairs(config: FitConfig) -> Iterator[tuple[_Corners, _Corners]]:
     frame = config.frame
 
     for _ in range(config.num_pairs):
-        u = iter(rng.random(4).tolist()).__next__
-        w = _uniform_from(u, config.target_size_min, config.target_size_max)
-        h = _uniform_from(u, config.target_size_min, config.target_size_max)
-        cx = _uniform_from(u, frame.xmin + w / 2, frame.xmax - w / 2)
-        cy = _uniform_from(u, frame.ymin + h / 2, frame.ymax - h / 2)
+        u_w, u_h, u_x, u_y = rng.random(4).tolist()
+        w = _uniform_from(u_w, config.target_size_min, config.target_size_max)
+        h = _uniform_from(u_h, config.target_size_min, config.target_size_max)
+        cx = _uniform_from(u_x, frame.xmin + w / 2, frame.xmax - w / 2)
+        cy = _uniform_from(u_y, frame.ymin + h / 2, frame.ymax - h / 2)
         target = _checked(_Corners(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
         if not (target.xmin < target.xmax and target.ymin < target.ymax):
             raise ValueError(
@@ -235,18 +237,18 @@ def _draw_pairs(config: FitConfig) -> Iterator[tuple[_Corners, _Corners]]:
             )
 
         for _attempt in range(_MAX_ATTEMPTS):
-            z = iter(rng.standard_normal(4).tolist()).__next__
+            z_w, z_h, z_x, z_y = rng.standard_normal(4).tolist()
             try:
-                pw = w * math.exp(_normal_from(z, config.scale_sigma))
-                ph = h * math.exp(_normal_from(z, config.scale_sigma))
+                pw = w * math.exp(_normal_from(z_w, config.scale_sigma))
+                ph = h * math.exp(_normal_from(z_h, config.scale_sigma))
             except OverflowError:
                 pw = ph = math.inf
             if not (math.isfinite(pw) and math.isfinite(ph)):
                 raise ValueError(
                     f"scale_sigma={config.scale_sigma!r} drew a box size that is not finite"
                 )
-            dx = _normal_from(z, config.translation_sigma * w)
-            dy = _normal_from(z, config.translation_sigma * h)
+            dx = _normal_from(z_x, config.translation_sigma * w)
+            dy = _normal_from(z_y, config.translation_sigma * h)
             if not (math.isfinite(dx) and math.isfinite(dy)):
                 raise ValueError(
                     f"translation_sigma={config.translation_sigma!r} drew a center shift "
@@ -357,17 +359,21 @@ def compare_losses(
     Seed s uses config.seed + s, and the dataset depends only on the seed and
     the dataset settings, so every kind sees identical initial boxes at each
     seed. Rows report the population mean and standard deviation of the final
-    mean IoU (a single seed reports stddev 0).
+    mean IoU (a single seed reports stddev 0). A kind listed twice raises
+    ValueError.
     """
     if num_seeds < 1:
         raise ValueError(f"num_seeds must be >= 1, got {num_seeds}")
     if len(kinds) == 0:
         raise ValueError("kinds must be non-empty")
+    kinds = [LossKind(kind) for kind in kinds]
+    for i, kind in enumerate(kinds):
+        if kind in kinds[:i]:
+            raise ValueError(f"loss kind {kind.value!r} is repeated")
 
     runs: dict[tuple[LossKind, int], FitResult] = {}
     rows: list[ComparisonRow] = []
     for kind in kinds:
-        kind = LossKind(kind)
         finals: list[float] = []
         initials: list[float] = []
         for s in range(num_seeds):

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import _IEEE, Box, BoxBatch, _corner_row, _signed_overlap, iou_array
-from .boxes import _normal, _sign, _uniform, _uniform_from, overlap_array
+from .boxes import _IEEE, Box, BoxBatch, _corner_row, _signed_overlap, iou_array, overlap_array
 # Unused here; bench/worker.py's traced run replaces iou on this module by name.
 from .boxes import iou  # noqa: F401
 from .losses import _LOSSES, HuberParams, LossKind, _blend, _blend_weight
@@ -49,11 +48,6 @@ REGIMES = ("mixed", "partial", "nested", "shifted", "disjoint")
 # finite_diff_check samples, kink-filters and evaluates pairs in batches of
 # this many, so its memory does not grow with num_samples.
 _CHECK_CHUNK = 4096
-
-# Doubles _sample_pair draws in its first block, per geometric regime: the
-# target's w, h, cx and cy, then the regime's own up to its first Gaussian or
-# integers call.
-_LEAD_DOUBLES = {"partial": 4, "nested": 8, "shifted": 5, "disjoint": 4}
 
 
 @dataclass(frozen=True)
@@ -178,6 +172,8 @@ class GradCheckConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.num_samples < 1:
             raise ValueError(f"num_samples must be >= 1, got {self.num_samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}, expected one of {REGIMES}")
 
@@ -189,59 +185,47 @@ class GradCheckResult:
     num_skipped_near_kink: int
 
 
-def _sample_pair(rng: np.random.Generator, regime: str) -> tuple[float, ...]:
-    """Draw one pair in the given overlap regime: the predicted box's four
-    corners, then the target's.
+def _sample_pairs(u: np.ndarray, z: np.ndarray, regime: str) -> np.ndarray:
+    """n pairs in the given regime as (n, 8) rows, the predicted box's corners
+    then the target's, from (n, 10) uniforms u in [0, 1) and (n, 2) standard
+    normals z; each row reads only its own draws.
 
-    The draws keep the order of one numpy call per scalar, but a run of
-    doubles with no other call in between is one rng.random(n) block: the
-    target's w, h, cx and cy together with the regime's doubles that follow
-    them (_LEAD_DOUBLES), and disjoint's three doubles after its two
-    Gaussians. The regime pick, disjoint's axis and every _sign stay one
-    integers call each, in place. The two Gaussians of partial and disjoint
-    stay two calls, since a block of two costs as much."""
+    u's columns are the target's w, h, cx and cy, the mixed regime's pick
+    floor(4u) among REGIMES[1:], and five for the regime's own uniforms, with
+    its signs and disjoint's axis taken as u < 0.5. z's are the log-normal
+    size jitters of partial and disjoint."""
+    w, h = 6.0 + 18.0 * u[:, 0], 6.0 + 18.0 * u[:, 1]
+    cx, cy = 30.0 + 40.0 * u[:, 2], 30.0 + 40.0 * u[:, 3]
+    a, b, c, d, e = u[:, 5:].T
+    jw, jh = w * np.exp(0.15 * z[:, 0]), h * np.exp(0.15 * z[:, 1])
+    half_w, half_h = (w + jw) / 2, (h + jh) / 2
+    nw, nh = w * (0.3 + 0.4 * a), h * (0.3 + 0.4 * b)
+    sign_c, sign_d = np.where(c < 0.5, -1.0, 1.0), np.where(d < 0.5, -1.0, 1.0)
+    # Disjoint pairs are apart by at least 10% of the half-sum along one axis,
+    # so they sit strictly inside the plateau.
+    gap = (1.1 + 2.0 * c) * np.where(e < 0.5, -1.0, 1.0)
+    along_x = d < 0.5
+
+    # Every row's (pw, ph, dx, dy) in each regime, in the order of REGIMES[1:].
+    partial = (jw, jh, (0.25 + 0.5 * a) * half_w * sign_c, (0.25 + 0.5 * b) * half_h * sign_d)
+    nested = (nw, nh, (-0.4 + 0.8 * c) * (w - nw) / 2, (-0.4 + 0.8 * d) * (h - nh) / 2)
+    shifted = (w, h, (0.15 + 1.35 * a) * w * sign_c, (0.15 + 1.35 * b) * h * sign_d)
+    disjoint = (
+        jw,
+        jh,
+        np.where(along_x, gap * half_w, (-0.3 + 0.6 * a) * w),
+        np.where(along_x, (-0.3 + 0.6 * b) * h, gap * half_h),
+    )
     if regime == "mixed":
-        regime = REGIMES[1 + int(rng.integers(0, 4))]
-    if regime not in _LEAD_DOUBLES:
-        raise ValueError(f"unknown regime {regime!r}")
-
-    u = iter(rng.random(_LEAD_DOUBLES[regime]).tolist()).__next__
-    w = _uniform_from(u, 6.0, 24.0)
-    h = _uniform_from(u, 6.0, 24.0)
-    cx = _uniform_from(u, 30.0, 70.0)
-    cy = _uniform_from(u, 30.0, 70.0)
-
-    if regime == "nested":
-        pw = w * _uniform_from(u, 0.3, 0.7)
-        ph = h * _uniform_from(u, 0.3, 0.7)
-        dx = _uniform_from(u, -0.4, 0.4) * (w - pw) / 2
-        dy = _uniform_from(u, -0.4, 0.4) * (h - ph) / 2
-    elif regime == "shifted":
-        pw, ph = w, h
-        dx = _uniform_from(u, 0.15, 1.5) * w * _sign(rng)
-        dy = _uniform(rng, 0.15, 1.5) * h * _sign(rng)
-    elif regime == "partial":
-        pw = w * math.exp(_normal(rng, 0.15))
-        ph = h * math.exp(_normal(rng, 0.15))
-        dx = _uniform(rng, 0.25, 0.75) * (w + pw) / 2 * _sign(rng)
-        dy = _uniform(rng, 0.25, 0.75) * (h + ph) / 2 * _sign(rng)
-    else:  # disjoint
-        pw = w * math.exp(_normal(rng, 0.15))
-        ph = h * math.exp(_normal(rng, 0.15))
-        # Separate by at least 10% of the half-sum along one axis, so the
-        # pair sits strictly inside the plateau.
-        u = iter(rng.random(3).tolist()).__next__
-        dx = _uniform_from(u, -0.3, 0.3) * w
-        dy = _uniform_from(u, -0.3, 0.3) * h
-        gap = 1.1 + _uniform_from(u, 0.0, 2.0)
-        if int(rng.integers(0, 2)) == 0:
-            dx = gap * (w + pw) / 2 * _sign(rng)
-        else:
-            dy = gap * (h + ph) / 2 * _sign(rng)
+        pick = (4.0 * u[:, 4]).astype(np.intp)
+    else:
+        pick = np.full(len(u), REGIMES.index(regime) - 1)
+    shapes = np.array((partial, nested, shifted, disjoint))
+    pw, ph, dx, dy = shapes[pick, :, np.arange(len(u))].T
 
     px, py = cx + dx, cy + dy
     pred = (px - pw / 2, py - ph / 2, px + pw / 2, py + ph / 2)
-    return pred + (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+    return np.stack(pred + (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2), axis=1)
 
 
 def _near_kink(pred: np.ndarray, target: np.ndarray, delta: float, margin: float) -> np.ndarray:
@@ -253,19 +237,19 @@ def _near_kink(pred: np.ndarray, target: np.ndarray, delta: float, margin: float
     return near.any(axis=1) | (np.abs(iw) <= margin) | (np.abs(ih) <= margin)
 
 
-def _max_error(
-    kind: LossKind,
+def _max_errors(
+    kinds: list[LossKind],
     pred: np.ndarray,
     target: np.ndarray,
     step: float,
     params: HuberParams,
-    max_err: float,
-) -> float:
-    """max_err raised to the largest relative error over N sample pairs, given
-    as (N, 4) corner arrays; a nan error never counts, as in err > max_err."""
+    max_errs: list[float],
+) -> list[float]:
+    """Each kind's max_err raised to its largest relative error over N sample
+    pairs, given as (N, 4) corner arrays; a nan error never counts, as in
+    err > max_err. The nudged pairs are built once for every kind."""
     # A single pair is a batch of one, so the smooth kind's lam is its IoU.
     lam = iou_array(pred, target)
-    analytic = _PAIR_GRAD[kind](pred, target, lam[:, None], params)
     # Rows 8n + 2i and 8n + 2i + 1 nudge sample n's coordinate i by +step and
     # by -step; each keeps its sample's frozen lam.
     nudged = np.repeat(pred, 8, axis=0).reshape(-1, 4, 2, 4)
@@ -274,13 +258,17 @@ def _max_error(
         nudged[:, i, 1, i] += -step
     nudged = nudged.reshape(-1, 4)
     targets = np.repeat(target, 8, axis=0)
-    f = _LOSSES[kind](
-        nudged, targets, iou_array(nudged, targets), np.repeat(lam, 8), params
-    ).reshape(-1, 4, 2)
-    numeric = (f[:, :, 0] - f[:, :, 1]) / (2.0 * step)
-    size = np.abs(numeric)
-    err = np.abs(analytic - numeric) / np.where(size > 1.0, size, 1.0)
-    return float(np.fmax.reduce(err, axis=None, initial=max_err))
+    at = (nudged, targets, iou_array(nudged, targets), np.repeat(lam, 8))
+
+    out = []
+    for kind, max_err in zip(kinds, max_errs):
+        analytic = _PAIR_GRAD[kind](pred, target, lam[:, None], params)
+        f = _LOSSES[kind](*at, params).reshape(-1, 4, 2)
+        numeric = (f[:, :, 0] - f[:, :, 1]) / (2.0 * step)
+        size = np.abs(numeric)
+        err = np.abs(analytic - numeric) / np.where(size > 1.0, size, 1.0)
+        out.append(float(np.fmax.reduce(err, axis=None, initial=max_err)))
+    return out
 
 
 def finite_diff_check(
@@ -311,27 +299,29 @@ def _check_kinds(
     params: HuberParams = HuberParams(),
 ) -> list[GradCheckResult]:
     """finite_diff_check of each kind, in the order given, on one sample set:
-    the pairs are drawn and kink-filtered once, so every kind sees exactly
-    the pairs it would see on its own."""
+    the pairs are drawn, kink-filtered and nudged once, so every kind sees
+    exactly the pairs it would see on its own.
+
+    Each chunk's pairs come from one call on each of two generators spawned
+    from the seed, n rows of ten uniforms and n of two Gaussians, so the
+    first n samples do not depend on num_samples or on the chunk size."""
     if not 1e-7 <= step <= 1e-3:
         raise ValueError(f"step must lie in [1e-7, 1e-3], got {step}")
     if not math.isfinite(tolerance) or tolerance <= 0:
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     kinds = [LossKind(kind) for kind in kinds]
 
-    rng = np.random.default_rng(config.seed)
+    rng_u, rng_z = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2))
     margin = 10.0 * step
 
     checked = 0
     max_errs = [0.0] * len(kinds)
     for start in range(0, config.num_samples, _CHECK_CHUNK):
         size = min(_CHECK_CHUNK, config.num_samples - start)
-        rows = np.array([_sample_pair(rng, config.regime) for _ in range(size)])
+        u, z = rng_u.random((size, 10)), rng_z.standard_normal((size, 2))
+        rows = _sample_pairs(u, z, config.regime)
         rows = rows[~_near_kink(rows[:, :4], rows[:, 4:], params.delta, margin)]
-        max_errs = [
-            _max_error(kind, rows[:, :4], rows[:, 4:], step, params, err)
-            for kind, err in zip(kinds, max_errs)
-        ]
+        max_errs = _max_errors(kinds, rows[:, :4], rows[:, 4:], step, params, max_errs)
         checked += len(rows)
 
     return [

@@ -8,11 +8,11 @@ the library's: the Huber boundary |z| = delta takes the linear branch, a
 predicted edge exactly on the target's edge is binding, and the IoU-loss
 gradient is the exact zero vector where the intersection is empty.
 
-The two samplers, gradcheck's `_sample_pair` and fit's `generate_dataset`,
-written with numpy's own `Generator.uniform`, `.normal` and `.choice` calls.
-`tests/test_draws.py` checks that the library's samplers, which draw through
-`boxloss.boxes._uniform`, `_normal` and `_sign`, give the same values bit for
-bit and leave the generator at the same point.
+fit's sampler `generate_dataset`, written with numpy's own
+`Generator.uniform` and `.normal` calls. `tests/test_draws.py` checks that the
+library's, which draws blocks through `boxloss.boxes._uniform_from` and
+`_normal_from`, gives the same values bit for bit and leaves the generator at
+the same point.
 
 `fit`'s loop as it was before its steps recomputed only the moved IoU rows:
 every state re-evaluated over the full dataset, on the `Box`-built dataset of
@@ -41,7 +41,7 @@ from boxloss import (
 )
 from boxloss.boxes import _IEEE, iou_array
 from boxloss.fitting import _MAX_ATTEMPTS, _RMSPROP_EPS, OptimizerKind, _regime_accepts
-from boxloss.gradients import _PAIR_GRAD, REGIMES
+from boxloss.gradients import _PAIR_GRAD
 from boxloss.losses import _LOSSES
 
 
@@ -127,51 +127,6 @@ def grad_iou_loss(pred: Box, target: Box) -> GradVector:
     num = [-(union * di_p - inter * (da_p - di_p)) for di_p, da_p in zip(di, darea)]
     # IEEE division, like the array row, where union * union underflows to 0.
     return GradVector(*(np.array(num) / (union * union)).tolist())
-
-
-def _sample_pair(rng: np.random.Generator, regime: str) -> tuple[float, ...]:
-    """Draw one pair in the given overlap regime: the predicted box's four
-    corners, then the target's."""
-    if regime == "mixed":
-        regime = REGIMES[1 + int(rng.integers(0, 4))]
-
-    w = float(rng.uniform(6.0, 24.0))
-    h = float(rng.uniform(6.0, 24.0))
-    cx = float(rng.uniform(30.0, 70.0))
-    cy = float(rng.uniform(30.0, 70.0))
-
-    if regime == "nested":
-        pw = w * float(rng.uniform(0.3, 0.7))
-        ph = h * float(rng.uniform(0.3, 0.7))
-        dx = float(rng.uniform(-0.4, 0.4)) * (w - pw) / 2
-        dy = float(rng.uniform(-0.4, 0.4)) * (h - ph) / 2
-    elif regime == "shifted":
-        pw, ph = w, h
-        dx = float(rng.uniform(0.15, 1.5)) * w * float(rng.choice((-1.0, 1.0)))
-        dy = float(rng.uniform(0.15, 1.5)) * h * float(rng.choice((-1.0, 1.0)))
-    elif regime == "partial":
-        pw = w * float(math.exp(rng.normal(0.0, 0.15)))
-        ph = h * float(math.exp(rng.normal(0.0, 0.15)))
-        dx = float(rng.uniform(0.25, 0.75)) * (w + pw) / 2 * float(rng.choice((-1.0, 1.0)))
-        dy = float(rng.uniform(0.25, 0.75)) * (h + ph) / 2 * float(rng.choice((-1.0, 1.0)))
-    elif regime == "disjoint":
-        pw = w * float(math.exp(rng.normal(0.0, 0.15)))
-        ph = h * float(math.exp(rng.normal(0.0, 0.15)))
-        # Separate by at least 10% of the half-sum along one axis, so the
-        # pair sits strictly inside the plateau.
-        dx = float(rng.uniform(-0.3, 0.3)) * w
-        dy = float(rng.uniform(-0.3, 0.3)) * h
-        gap = 1.1 + float(rng.uniform(0.0, 2.0))
-        if int(rng.integers(0, 2)) == 0:
-            dx = gap * (w + pw) / 2 * float(rng.choice((-1.0, 1.0)))
-        else:
-            dy = gap * (h + ph) / 2 * float(rng.choice((-1.0, 1.0)))
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-
-    px, py = cx + dx, cy + dy
-    pred = (px - pw / 2, py - ph / 2, px + pw / 2, py + ph / 2)
-    return pred + (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
 
 
 def generate_dataset(config: FitConfig) -> BoxBatch:

@@ -232,7 +232,9 @@ def test_entry_points_overflow_without_warnings(monkeypatch):
     pred, target = _HUGE
     batch = BoxBatch(_HUGE, _HUGE[::-1])
     corners = pred.corners() + target.corners()
-    monkeypatch.setattr(gradients, "_sample_pair", lambda rng, regime: corners)
+    monkeypatch.setattr(
+        gradients, "_sample_pairs", lambda u, z, regime: np.tile(corners, (len(u), 1))
+    )
     huge_sweep = SweepConfig(
         target=Box(-1e308, -1e308, 1e308, 1e308),
         pred_width=1.5e308,

@@ -34,6 +34,29 @@ def _parse_csv(path: Path) -> tuple[list[str], list[list[float]]]:
     return header, rows
 
 
+def _exit_2_message(capsys, argv: list[str]) -> str:
+    """The one-line message of a command that must exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err.splitlines()[-1]
+
+
+def _replay_edited(capsys, manifest_path: Path, **config) -> str:
+    """Set config keys in a written manifest, delete its outputs, and return
+    the message of a rerun that must exit 2 and write nothing."""
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"].update(config)
+    manifest_path.write_text(json.dumps(manifest))
+    for output in manifest["outputs"]:
+        Path(output).unlink()
+    message = _exit_2_message(capsys, ["rerun", str(manifest_path)])
+    assert not any(Path(output).exists() for output in manifest["outputs"])
+    return message
+
+
 class TestProfileCommand:
     def test_writes_csv_and_manifest(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -100,6 +123,7 @@ class TestProfileCommand:
             ["profile", "--out", out, "--mismatch-scale", "-1"],
             ["profile", "--out", out, "--deltas", "a,b"],
             ["profile", "--out", out, "--deltas", ","],
+            ["profile", "--out", out, "--deltas", "1.0,2.0,1"],
             ["profile"],
         ):
             with pytest.raises(SystemExit) as exc:
@@ -109,6 +133,11 @@ class TestProfileCommand:
     def test_unwritable_path_exits_1(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert main(["profile", "--out", str(missing)]) == 1
+
+    def test_repeated_delta_in_a_manifest_exits_2(self, tmp_path, capsys):
+        assert main(["profile", "--out", str(tmp_path / "p"), "--deltas", "1.0,2.0"]) == 0
+        message = _replay_edited(capsys, tmp_path / "p.manifest.json", deltas=[2.0, 1.0, 2.0])
+        assert message == "boxloss rerun: error: delta 2.0 is repeated in deltas"
 
 
 class TestGradcheckCommand:
@@ -165,16 +194,16 @@ class TestGradcheckCommand:
 
     def test_all_kinds_draw_the_samples_once(self, monkeypatch, capsys):
         drawn = []
-        sample_pair = gradients._sample_pair
+        sample_pairs = gradients._sample_pairs
 
-        def counted(rng, regime):
-            drawn.append(regime)
-            return sample_pair(rng, regime)
+        def counted(u, z, regime):
+            drawn.append(len(u))
+            return sample_pairs(u, z, regime)
 
-        monkeypatch.setattr(gradients, "_sample_pair", counted)
+        monkeypatch.setattr(gradients, "_sample_pairs", counted)
         assert main(["gradcheck", "--loss", "all", "--samples", "50"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 4
-        assert len(drawn) == 50
+        assert drawn == [50]
 
     def test_library_error_prints_subcommand_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -306,6 +335,7 @@ class TestFitCommand:
             ["fit", "--out", out, "--size-range", "5"],
             ["fit", "--out", out, "--compare", ","],
             ["fit", "--out", out, "--compare", "huber,l2"],
+            ["fit", "--out", out, "--compare", "huber,smooth_iou,huber"],
             ["fit", "--out", out, "--seeds", "0"],
             ["fit", "--out", out, "--optimizer", "adam"],
             ["fit"],
@@ -333,6 +363,11 @@ class TestFitCommand:
         assert f"error: {setting}=" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_repeated_kind_in_a_manifest_exits_2(self, tmp_path, capsys):
+        outdir = self._run(tmp_path, "--compare", "huber,iou")
+        message = _replay_edited(capsys, outdir / "manifest.json", compare=["iou", "iou"])
+        assert message == "boxloss rerun: error: loss kind 'iou' is repeated"
 
     def test_unmeasurable_frame_exits_2(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -592,6 +627,36 @@ class TestSeedResolution:
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--out", str(tmp_path / "e"), *self._TINY])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, env, seed",
+        [
+            (["gradcheck", "--samples", "10", "--seed", "-1"], None, -1),
+            (["gradcheck", "--samples", "10"], "-3", -3),
+            (["fit", "--seed", "-1"], None, -1),
+            (["fit"], "-3", -3),
+        ],
+        ids=["gradcheck_flag", "gradcheck_env", "fit_flag", "fit_env"],
+    )
+    def test_negative_seed_exits_2_naming_it(
+        self, tmp_path, capsys, monkeypatch, argv, env, seed
+    ):
+        if env is None:
+            monkeypatch.delenv("BOXLOSS_SEED", raising=False)
+        else:
+            monkeypatch.setenv("BOXLOSS_SEED", env)
+        out = tmp_path / "run"
+        if argv[0] == "fit":
+            argv = [*argv, "--out", str(out), *self._TINY]
+        message = _exit_2_message(capsys, argv)
+        assert message == f"boxloss {argv[0]}: error: seed must be >= 0, got {seed}"
+        assert not out.exists()
+
+    def test_negative_seed_in_a_manifest_exits_2(self, tmp_path, capsys):
+        outdir = tmp_path / "run"
+        assert main(["fit", "--out", str(outdir), *self._TINY]) == 0
+        message = _replay_edited(capsys, outdir / "manifest.json", seed=-1)
+        assert message == "boxloss rerun: error: seed must be >= 0, got -1"
 
     def test_gradcheck_reads_env(self, capsys, monkeypatch):
         monkeypatch.setenv("BOXLOSS_SEED", "4")

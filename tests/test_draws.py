@@ -1,14 +1,16 @@
-"""The samplers' draws against numpy's own Generator methods.
+"""The samplers' draws.
 
-`boxloss.boxes._uniform`, `_normal` and `_sign` stand in for
-`Generator.uniform`, `.normal` and `.choice((-1.0, 1.0))`. They must give the
-same bits and leave the generator at the same point, or gradcheck and fit
-outputs change silently. Each helper is checked against numpy on a twin
-generator, on the running numpy and platform, and the library's samplers are
-checked against `tests/reference.py`'s copies, which call numpy directly.
-The samplers draw runs of doubles and Gaussians as blocks, through
-`_uniform_from` and `_normal_from`; the numpy property that makes a block
-equal to its scalar calls is pinned here too.
+fit's `_draw_pairs` keeps numpy's exact streams: `boxloss.boxes._uniform_from`
+and `_normal_from` turn a drawn double or Gaussian into the bits of
+`Generator.uniform` and `.normal`, and a block `rng.random(n)` or
+`rng.standard_normal(n)` takes the 64-bit words of n scalar calls in the same
+order. Both are pinned here on the running numpy and platform, and
+`generate_dataset` is checked against `tests/reference.py`'s copy, which calls
+numpy's scalar methods directly.
+
+gradcheck's `_sample_pairs` builds its pairs from array draws on two
+generators spawned from the seed; its rows are checked against each regime's
+geometric law, and the first rows against any number of samples after them.
 """
 
 import math
@@ -16,9 +18,9 @@ import math
 import numpy as np
 import pytest
 
-from boxloss import REGIMES, Box, FitConfig, OverlapRegime, generate_dataset
-from boxloss.boxes import _normal, _normal_from, _sign, _uniform, _uniform_from
-from boxloss.gradients import _sample_pair
+from boxloss import REGIMES, Box, FitConfig, GradCheckConfig, LossKind, OverlapRegime
+from boxloss import generate_dataset, gradients
+from boxloss.boxes import _normal_from, _uniform_from, iou_array
 
 import reference
 
@@ -72,7 +74,8 @@ def _scales(n: int, seed: int) -> list[float]:
 def test_uniform_is_numpys(seed):
     ours, numpys = _twins(seed)
     for lo, hi in _bounds(_DRAWS, 100 + seed):
-        assert _uniform(ours, lo, hi).hex() == float(numpys.uniform(lo, hi)).hex(), (lo, hi)
+        got = _uniform_from(ours.random(), lo, hi)
+        assert got.hex() == float(numpys.uniform(lo, hi)).hex(), (lo, hi)
     _assert_in_step(ours, numpys)
 
 
@@ -80,50 +83,21 @@ def test_uniform_is_numpys(seed):
 def test_normal_is_numpys(seed):
     ours, numpys = _twins(seed)
     for scale in _scales(_DRAWS, 200 + seed):
-        assert _normal(ours, scale).hex() == float(numpys.normal(0.0, scale)).hex(), scale
-    _assert_in_step(ours, numpys)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_sign_is_numpys(seed):
-    ours, numpys = _twins(seed)
-    for _ in range(_DRAWS):
-        assert _sign(ours).hex() == float(numpys.choice((-1.0, 1.0))).hex()
-    _assert_in_step(ours, numpys)
-
-
-def test_interleaved_draws_keep_the_streams_in_step():
-    """Signs take 32-bit halves that numpy buffers; doubles and Gaussians take
-    whole 64-bit words. Mixed in random order, as the samplers mix them, the
-    two generators still agree draw for draw."""
-    ours, numpys = _twins(3)
-    order = np.random.default_rng(4).integers(0, 4, size=_DRAWS).tolist()
-    bounds, scales = _bounds(_DRAWS, 5), _scales(_DRAWS, 6)
-    for i, pick in enumerate(order):
-        if pick == 0:
-            got, want = _uniform(ours, *bounds[i]), numpys.uniform(*bounds[i])
-        elif pick == 1:
-            got, want = _normal(ours, scales[i]), numpys.normal(0.0, scales[i])
-        elif pick == 2:
-            got, want = _sign(ours), numpys.choice((-1.0, 1.0))
-        else:
-            got, want = int(ours.integers(0, 4)), int(numpys.integers(0, 4))
-        assert float(got).hex() == float(want).hex(), i
+        got = _normal_from(ours.standard_normal(), scale)
+        assert got.hex() == float(numpys.normal(0.0, scale)).hex(), scale
     _assert_in_step(ours, numpys)
 
 
 @pytest.mark.parametrize(
-    "lo, hi", [(1.0, 0.5), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (-1e308, 1e308)]
+    "lo, hi",
+    [(1.0, 0.5), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (-1e308, 1e308), (3, 2)],
 )
 def test_uniform_refuses_what_numpy_refuses(lo, hi):
-    """A negative or non-finite range is an error in both, before any bits
-    are drawn."""
-    ours, numpys = _twins(0)
+    """A negative or non-finite range is an error in both."""
     with pytest.raises((ValueError, OverflowError)):
-        numpys.uniform(lo, hi)
+        np.random.default_rng(0).uniform(lo, hi)
     with pytest.raises(ValueError, match="negative or not finite"):
-        _uniform(ours, lo, hi)
-    _assert_in_step(ours, numpys)
+        _uniform_from(0.5, lo, hi)
 
 
 @pytest.mark.parametrize("pending", [False, True], ids=["whole_word", "pending_half"])
@@ -146,44 +120,80 @@ def test_block_draw_is_its_scalar_draws(method, pending):
     _assert_in_step(ours, numpys)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_block_transforms_are_the_one_draw_helpers(seed):
-    """_uniform_from and _normal_from on a block's values give the bits of
-    _uniform and _normal drawing one value per call."""
-    bounds, scales = _bounds(_DRAWS, 300 + seed), _scales(_DRAWS, 400 + seed)
-    ours, theirs = _twins(seed)
-    u = iter(ours.random(_DRAWS).tolist()).__next__
-    assert _hex(_uniform_from(u, lo, hi) for lo, hi in bounds) == _hex(
-        _uniform(theirs, lo, hi) for lo, hi in bounds
-    )
-    z = iter(ours.standard_normal(_DRAWS).tolist()).__next__
-    assert _hex(_normal_from(z, s) for s in scales) == _hex(_normal(theirs, s) for s in scales)
-    _assert_in_step(ours, theirs)
+def _gradcheck_rows(config: GradCheckConfig) -> np.ndarray:
+    """The rows _check_kinds samples for config, before its kink filter."""
+    drawn = []
+    sample_pairs = gradients._sample_pairs
+
+    def recording(u, z, regime):
+        drawn.append(sample_pairs(u, z, regime))
+        return drawn[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gradients, "_sample_pairs", recording)
+        gradients._check_kinds([LossKind.HUBER], config, 1e-4, 1e-5)
+    return np.concatenate(drawn)
 
 
-@pytest.mark.parametrize(
-    "lo, hi",
-    [(1.0, 0.5), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (-1e308, 1e308), (3, 2)],
-)
-def test_uniform_from_refuses_before_it_draws(lo, hi):
-    """The range check comes before the draw: a refused range takes no value
-    from a block, and refuses with _uniform's message."""
-    block = iter([0.5]).__next__
-    with pytest.raises(ValueError, match="negative or not finite") as refused:
-        _uniform_from(block, lo, hi)
-    assert block() == 0.5
-    with pytest.raises(ValueError) as one_draw:
-        _uniform(np.random.default_rng(0), lo, hi)
-    assert str(refused.value) == str(one_draw.value)
+def _assert_regime_law(rows: np.ndarray, regime: str) -> None:
+    """Every row obeys its regime's geometry; rows are (n, 8), the predicted
+    corners then the target's."""
+    pred, target = rows[:, :4], rows[:, 4:]
+    size, center = pred[:, 2:] - pred[:, :2], (pred[:, 2:] + pred[:, :2]) / 2
+    t_size, t_center = target[:, 2:] - target[:, :2], (target[:, 2:] + target[:, :2]) / 2
+    eps = 1e-9
+    assert ((t_size >= 6.0 - eps) & (t_size < 24.0 + eps)).all()
+    assert ((t_center >= 30.0 - eps) & (t_center < 70.0 + eps)).all()
+    ious = iou_array(pred, target)
+    shift = np.abs(center - t_center)
+    if regime == "nested":
+        assert ((pred[:, :2] > target[:, :2]) & (pred[:, 2:] < target[:, 2:])).all()
+        ratio = size / t_size
+        assert ((ratio >= 0.3 - eps) & (ratio < 0.7 + eps)).all()
+    elif regime == "shifted":
+        np.testing.assert_allclose(size, t_size, rtol=1e-12)
+        ratio = shift / t_size
+        assert ((ratio >= 0.15 - eps) & (ratio < 1.5 + eps)).all()
+    elif regime == "partial":
+        assert (ious > 0.0).all()
+    else:
+        assert (ious == 0.0).all()
+        # The gap along the separating axis is at least 0.1 half-sum.
+        half_sum = (size + t_size) / 2
+        assert ((shift - half_sum) / half_sum >= 0.1 - eps).any(axis=1).all()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("regime", REGIMES)
-def test_sample_pair_matches_reference(regime, seed):
-    ours, numpys = _twins(seed)
-    for _ in range(2000):
-        assert _hex(_sample_pair(ours, regime)) == _hex(reference._sample_pair(numpys, regime))
-    _assert_in_step(ours, numpys)
+def test_sample_pairs_keep_their_regime(regime, seed):
+    config = GradCheckConfig(num_samples=2000, regime=regime, seed=seed)
+    rows = _gradcheck_rows(config)
+    assert rows.shape == (2000, 8)
+    assert np.array_equal(rows, _gradcheck_rows(config))
+    if regime != "mixed":
+        _assert_regime_law(rows, regime)
+        return
+    # Mixed picks among the other four by its fifth uniform, and each picked
+    # row is that regime's row on the same draws.
+    rng_u, rng_z = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    u, z = rng_u.random((2000, 10)), rng_z.standard_normal((2000, 2))
+    pick = (4.0 * u[:, 4]).astype(int)
+    assert set(pick.tolist()) == {0, 1, 2, 3}
+    for k, picked in enumerate(REGIMES[1:]):
+        mine = pick == k
+        assert np.array_equal(rows[mine], gradients._sample_pairs(u[mine], z[mine], picked))
+        _assert_regime_law(rows[mine], picked)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_first_samples_do_not_depend_on_how_many_follow(regime, seed, monkeypatch):
+    config = GradCheckConfig(num_samples=300, regime=regime, seed=seed)
+    first = _gradcheck_rows(config)
+    doubled = _gradcheck_rows(GradCheckConfig(num_samples=600, regime=regime, seed=seed))
+    assert np.array_equal(doubled[:300], first)
+    monkeypatch.setattr(gradients, "_CHECK_CHUNK", 7)
+    assert np.array_equal(_gradcheck_rows(config), first)
 
 
 _DATASETS = [

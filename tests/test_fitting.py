@@ -382,6 +382,8 @@ class TestCompareLosses:
             compare_losses(config, [LossKind.HUBER], num_seeds=0)
         with pytest.raises(ValueError):
             compare_losses(config, [], num_seeds=2)
+        with pytest.raises(ValueError, match=r"^loss kind 'huber' is repeated$"):
+            compare_losses(config, [LossKind.HUBER, "squared", "huber"], num_seeds=1)
 
 
 class TestFitConfigValidation:
@@ -415,6 +417,7 @@ class TestFitConfigValidation:
             {"num_pairs": 50.5},
             {"steps": 2.5},
             {"seed": 1.5},
+            {"seed": -1},
             {"batch_size": 2.5},
             {"frame": Box(-1e308, 0.0, 1e308, 100.0)},
             {"frame": Box(0.0, -1e308, 100.0, 1e308)},

@@ -307,6 +307,8 @@ class TestFiniteDiffCheck:
             GradCheckConfig(num_samples=2.5)
         with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
             GradCheckConfig(seed=1.5)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            GradCheckConfig(seed=-1)
 
     def test_step_and_tolerance_validation(self):
         with pytest.raises(ValueError):
