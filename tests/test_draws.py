@@ -150,6 +150,7 @@ def _assert_regime_law(rows: np.ndarray, regime: str) -> None:
         assert ((pred[:, :2] > target[:, :2]) & (pred[:, 2:] < target[:, 2:])).all()
         ratio = size / t_size
         assert ((ratio >= 0.3 - eps) & (ratio < 0.7 + eps)).all()
+        assert (shift <= 0.4 * (t_size - size) / 2 + eps).all()
     elif regime == "shifted":
         np.testing.assert_allclose(size, t_size, rtol=1e-12)
         ratio = shift / t_size
