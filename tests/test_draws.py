@@ -100,6 +100,22 @@ def test_uniform_refuses_what_numpy_refuses(lo, hi):
         _uniform_from(0.5, lo, hi)
 
 
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(1.0, 0.5), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (-1e308, 1e308), (3, 2)],
+)
+def test_uniform_from_refuses_before_it_draws(lo, hi):
+    """The range check comes before the drawn value is read: every double a
+    block can hold, and a NaN that none can, meets one refusal that names the
+    range."""
+    refusals = set()
+    for u in (0.0, 0.5, math.nextafter(1.0, 0.0), math.nan):
+        with pytest.raises(ValueError, match="negative or not finite") as refused:
+            _uniform_from(u, lo, hi)
+        refusals.add(str(refused.value))
+    assert refusals == {f"uniform range [{float(lo)!r}, {hi!r}] is negative or not finite"}
+
+
 @pytest.mark.parametrize("pending", [False, True], ids=["whole_word", "pending_half"])
 @pytest.mark.parametrize("method", ["random", "standard_normal"])
 def test_block_draw_is_its_scalar_draws(method, pending):
