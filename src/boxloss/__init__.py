@@ -14,7 +14,7 @@ from .gradients import *  # noqa: F403
 from .losses import *  # noqa: F403
 from .profiles import *  # noqa: F403
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # Each module's __all__ is the one list of its public names.
 __all__ = [

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -34,39 +35,12 @@ _MAX_ORACLE_CELLS = 50_000_000
 _IEEE = np.errstate(all="ignore")
 
 
-# numpy's Generator.uniform and .normal as transforms of a drawn variate, for
-# fitting._draw_pairs: given the next double or Gaussian of the generator's
-# stream, each gives the bits numpy's own call would. _draw_pairs draws each
-# pair's four doubles in one rng.random(4) call and each attempt's four
-# Gaussians in one rng.standard_normal(4), which take the 64-bit words of
-# four scalar calls in the same order.
-
-
-def _uniform_from(u: float, lo: float, hi: float) -> float:
-    """numpy's random_uniform, low + range * next_double with next_double u,
-    on the bounds converted to float, with its refusal of a range that is
-    negative or not finite."""
-    lo = float(lo)
-    span = float(hi) - lo
-    if not 0.0 <= span < math.inf:
-        raise ValueError(f"uniform range [{lo!r}, {hi!r}] is negative or not finite")
-    return lo + span * u
-
-
-def _normal_from(z: float, scale: float) -> float:
-    """numpy's random_normal for scale >= 0, loc + scale * gauss with
-    loc = 0.0 and gauss z."""
-    return 0.0 + scale * z
-
-
-class _Corners(NamedTuple):
-    """A box's corners as plain floats, unvalidated: a drawn record that iou,
-    area and intersection_dims read like a Box."""
-
-    xmin: float
-    ymin: float
-    xmax: float
-    ymax: float
+def _check_integers(**values) -> None:
+    """The configs' one check of counts and seeds: each value must be an
+    integer, and not a bool, which would count as 0 or 1."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ Exit codes: 0 success, 1 I/O failure, 2 invalid flags or config,
 3 gradient check over tolerance, 4 infeasible dataset generation.
 
 Every file-producing command also writes a manifest recording the command,
-the fully resolved configuration, the seed, the tool version, and the output
-paths; `boxloss rerun <manifest>` replays it and reproduces the outputs
-byte for byte. Numbers are written with shortest round-trip precision.
+the fully resolved configuration, the seed, the tool, Python and numpy
+versions, and the output paths; `boxloss rerun <manifest>` replays it and
+reproduces the outputs byte for byte, and says on stderr when it runs on
+another Python or numpy. Numbers are written with shortest round-trip
+precision.
 """
 
 from __future__ import annotations
@@ -17,11 +19,14 @@ import inspect
 import json
 import operator
 import os
+import platform
 import sys
 import typing
 from dataclasses import fields, replace
 from enum import Enum
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .boxes import Box
@@ -38,7 +43,10 @@ _ENV_SEED = "BOXLOSS_SEED"
 _SWEEP_COLUMNS = ("x_center", "iou", "huber", "squared", "iou_loss", "smooth_iou")
 _sweep_cells = operator.attrgetter(*_SWEEP_COLUMNS)
 _TRAJECTORY_HEADER = "step,loss,mean_iou"
-_SUMMARY_HEADER = "loss_kind,mean_final_iou,stddev_final_iou,mean_initial_iou"
+# The versions a manifest records besides boxloss's: replayed bytes are
+# pinned for one boxloss version on one Python and numpy.
+_ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__}
+_SUMMARY_HEADER = "loss_kind,mean_final_iou,stddev_final_iou,mean_initial_iou,num_diverged"
 
 # Config-file and manifest key of each FitConfig field: the field's name,
 # except that loss_kind is spelled `loss`, like its flag.
@@ -88,6 +96,7 @@ def _write_manifest(
         "config": config,
         "seed": seed,
         "version": __version__,
+        **_ENVIRONMENT,
         "outputs": outputs,
     }
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -236,7 +245,7 @@ def _execute_fit(cfg: dict) -> list[str]:
     for row in result.rows:
         lines.append(
             f"{row.loss_kind.value},{_fmt(row.mean_final_iou)},"
-            f"{_fmt(row.stddev_final_iou)},{_fmt(row.mean_initial_iou)}"
+            f"{_fmt(row.stddev_final_iou)},{_fmt(row.mean_initial_iou)},{row.num_diverged}"
         )
     _write_lines(summary_path, lines)
     outputs.append(str(summary_path))
@@ -374,6 +383,15 @@ def _cmd_rerun(args, parser) -> int:
         parser.error(str(exc))
     except TypeError as exc:
         parser.error(f"manifest config has a value of the wrong type: {exc}")
+    recorded = {key: manifest.get(key) for key in _ENVIRONMENT}
+    if recorded != _ENVIRONMENT:
+        print(
+            "warning: manifest was written with python {python} and numpy {numpy}, this is "
+            "python {0[python]} and numpy {0[numpy]}; the outputs may differ".format(
+                _ENVIRONMENT, **recorded
+            ),
+            file=sys.stderr,
+        )
     return 0
 
 

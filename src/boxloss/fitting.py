@@ -11,20 +11,20 @@ a constant during differentiation.
 from __future__ import annotations
 
 import math
-import numbers
 import statistics
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator
 
 import numpy as np
 
-from .boxes import _IEEE, Box, BoxBatch, _Corners, _normal_from, _uniform_from, iou, iou_array
+from .boxes import _IEEE, Box, BoxBatch, _check_integers, iou_array
 from .gradients import _PAIR_GRAD
 from .losses import _LOSSES, HuberParams, LossKind, _blend_weight, _mean
 
-# Unused here: fit runs on the array rows of _LOSSES and _PAIR_GRAD. The
-# traced run of bench/worker.py replaces these names on this module.
+# Unused here: fit runs on iou_array and the array rows of _LOSSES and
+# _PAIR_GRAD. The traced run of bench/worker.py replaces these names on this
+# module.
+from .boxes import iou  # noqa: F401
 from .gradients import grad_huber, grad_iou_loss  # noqa: F401
 from .losses import loss_batch  # noqa: F401
 
@@ -96,10 +96,9 @@ class FitConfig:
         object.__setattr__(self, "regime", OverlapRegime(self.regime))
         object.__setattr__(self, "loss_kind", LossKind(self.loss_kind))
         object.__setattr__(self, "optimizer", OptimizerKind(self.optimizer))
-        for name in ("num_pairs", "steps", "seed", "batch_size"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_integers(
+            num_pairs=self.num_pairs, steps=self.steps, seed=self.seed, batch_size=self.batch_size
+        )
         if self.num_pairs < 1:
             raise ValueError(f"num_pairs must be >= 1, got {self.num_pairs}")
         if self.seed < 0:
@@ -166,6 +165,7 @@ class ComparisonRow:
     mean_final_iou: float
     stddev_final_iou: float
     mean_initial_iou: float
+    num_diverged: int
 
 
 @dataclass(frozen=True)
@@ -177,14 +177,15 @@ class ComparisonResult:
     runs: dict[tuple[LossKind, int], "FitResult"]
 
 
-def _regime_accepts(regime: OverlapRegime, pair_iou: float) -> bool:
-    if regime is OverlapRegime.DISJOINT:
-        return pair_iou == 0.0
-    if regime is OverlapRegime.OVERLAPPING:
-        return pair_iou > 0.0
-    return True
+# Which drawn pairs each regime keeps, as a mask over the pairs' IoUs.
+_KEEPS = {
+    OverlapRegime.OVERLAPPING: lambda ious: ious > 0.0,
+    OverlapRegime.DISJOINT: lambda ious: ious == 0.0,
+    OverlapRegime.MIXED: lambda ious: np.full(ious.shape, True),
+}
 
 
+@_IEEE
 def generate_dataset(config: FitConfig) -> BoxBatch:
     """Draw targets inside the frame and predictions as perturbed copies.
 
@@ -194,77 +195,88 @@ def generate_dataset(config: FitConfig) -> BoxBatch:
     draws that violate the overlap regime are rejected and resampled, and a
     pair that exhausts its attempts raises InfeasibleDatasetError. A draw
     whose box size or center shift is not finite raises ValueError naming
-    scale_sigma or translation_sigma, and a target that rounds to zero width
-    or height, far from the origin, raises ValueError naming the frame.
+    scale_sigma or translation_sigma, a drawn corner that overflows raises
+    Box's ValueError, and a target that rounds to zero width or height, far
+    from the origin, raises ValueError naming the frame.
     """
-    pairs = [(Box(*pred), Box(*target)) for pred, target in _draw_pairs(config)]
-    return BoxBatch(*zip(*pairs))
+    return BoxBatch(*([Box(*row) for row in rows.tolist()] for rows in _draw_pairs(config)))
 
 
-def _checked(record: _Corners) -> _Corners:
-    """A drawn record, passed through Box's checks only when its corners might
-    not be finite, so a bad draw raises Box's own ValueError. Drawn boxes are
-    never inverted: their extents are non-negative and rounding is monotone."""
-    if not math.isfinite(sum(record)):
-        Box(*record)
-    return record
+def _finite(corners: np.ndarray) -> np.ndarray:
+    """(K, 4) drawn corners, passed through Box's checks on the first row
+    with a corner that is not finite, so a bad draw raises Box's own
+    ValueError. Drawn boxes are never inverted: their extents are
+    non-negative and rounding is monotone."""
+    bad = ~np.isfinite(corners).all(axis=1)
+    if bad.any():
+        Box(*corners[bad.argmax()].tolist())
+    return corners
 
 
-def _draw_pairs(config: FitConfig) -> Iterator[tuple[_Corners, _Corners]]:
-    """generate_dataset's (predicted, target) corner records, drawn on floats
-    without building a Box; fit reads them as arrays.
+def _draw_pairs(config: FitConfig) -> tuple[np.ndarray, np.ndarray]:
+    """generate_dataset's predicted and target boxes as (K, 4) corner arrays,
+    which fit reads as they are.
 
-    The draws keep the order of one numpy call per scalar, in two block
-    calls: a pair's w, h, cx and cy are one rng.random(4), and each attempt's
-    two size jitters and two center shifts one rng.standard_normal(4). A
-    target that the frame's float spacing rounds to zero width or height
-    raises ValueError naming the frame."""
-    rng = np.random.default_rng(config.seed)
-    frame = config.frame
+    Two generators are spawned from the seed. The targets' w, h, cx and cy
+    are one random((K, 4)) call on the first, each numpy's uniform draw
+    low + (high - low) * u. Each rejection round draws one
+    standard_normal((P, 4)) on the second for the P pairs still pending: two
+    size jitters, whose factors are math.exp of sigma * z, and two center
+    shifts, then keeps the pairs its regime accepts. A pair that no round
+    accepts within _MAX_ATTEMPTS raises InfeasibleDatasetError."""
+    rng_u, rng_z = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2))
+    frame, lo = config.frame, float(config.target_size_min)
+    span = float(config.target_size_max) - lo
+    u_w, u_h, u_x, u_y = rng_u.random((config.num_pairs, 4)).T
+    w, h = lo + span * u_w, lo + span * u_h
+    x_lo, y_lo = frame.xmin + w / 2, frame.ymin + h / 2
+    cx = x_lo + ((frame.xmax - w / 2) - x_lo) * u_x
+    cy = y_lo + ((frame.ymax - h / 2) - y_lo) * u_y
+    targets = _finite(np.stack((cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2), axis=1))
+    flat = (targets[:, 2] <= targets[:, 0]) | (targets[:, 3] <= targets[:, 1])
+    if flat.any():
+        i = flat.argmax()
+        raise ValueError(
+            f"frame {frame.corners()} is too large for target sizes "
+            f"[{config.target_size_min!r}, {config.target_size_max!r}]: a target drawn "
+            f"at center ({float(cx[i])!r}, {float(cy[i])!r}) rounds to zero width or height"
+        )
 
-    for _ in range(config.num_pairs):
-        u_w, u_h, u_x, u_y = rng.random(4).tolist()
-        w = _uniform_from(u_w, config.target_size_min, config.target_size_max)
-        h = _uniform_from(u_h, config.target_size_min, config.target_size_max)
-        cx = _uniform_from(u_x, frame.xmin + w / 2, frame.xmax - w / 2)
-        cy = _uniform_from(u_y, frame.ymin + h / 2, frame.ymax - h / 2)
-        target = _checked(_Corners(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
-        if not (target.xmin < target.xmax and target.ymin < target.ymax):
+    sizes, centers = np.stack((w, h), axis=1), np.stack((cx, cy), axis=1)
+    keeps = _KEEPS[config.regime]
+    predicted = np.empty_like(targets)
+    pending = np.arange(config.num_pairs)
+    for _round in range(_MAX_ATTEMPTS):
+        z = rng_z.standard_normal((len(pending), 4))
+        size = sizes[pending]
+        # math.exp, not np.exp, whose last bits depend on numpy's SIMD dispatch.
+        jitter = (config.scale_sigma * z[:, :2]).ravel().tolist()
+        try:
+            factors = np.reshape(list(map(math.exp, jitter)), (-1, 2))
+        except OverflowError:
+            factors = math.inf
+        drawn_size = size * factors
+        if not np.isfinite(drawn_size).all():
             raise ValueError(
-                f"frame {frame.corners()} is too large for target sizes "
-                f"[{config.target_size_min!r}, {config.target_size_max!r}]: a target "
-                f"drawn at center ({cx!r}, {cy!r}) rounds to zero width or height"
+                f"scale_sigma={config.scale_sigma!r} drew a box size that is not finite"
             )
-
-        for _attempt in range(_MAX_ATTEMPTS):
-            z_w, z_h, z_x, z_y = rng.standard_normal(4).tolist()
-            try:
-                pw = w * math.exp(_normal_from(z_w, config.scale_sigma))
-                ph = h * math.exp(_normal_from(z_h, config.scale_sigma))
-            except OverflowError:
-                pw = ph = math.inf
-            if not (math.isfinite(pw) and math.isfinite(ph)):
-                raise ValueError(
-                    f"scale_sigma={config.scale_sigma!r} drew a box size that is not finite"
-                )
-            dx = _normal_from(z_x, config.translation_sigma * w)
-            dy = _normal_from(z_y, config.translation_sigma * h)
-            if not (math.isfinite(dx) and math.isfinite(dy)):
-                raise ValueError(
-                    f"translation_sigma={config.translation_sigma!r} drew a center shift "
-                    "that is not finite"
-                )
-            pred = _checked(
-                _Corners(cx + dx - pw / 2, cy + dy - ph / 2, cx + dx + pw / 2, cy + dy + ph / 2)
+        shift = config.translation_sigma * size * z[:, 2:]
+        if not np.isfinite(shift).all():
+            raise ValueError(
+                f"translation_sigma={config.translation_sigma!r} drew a center shift "
+                "that is not finite"
             )
-            if _regime_accepts(config.regime, iou(pred, target)):
-                break
-        else:
-            raise InfeasibleDatasetError(
-                f"could not satisfy regime {config.regime.value!r} within "
-                f"{_MAX_ATTEMPTS} attempts; widen the perturbation or relax the regime"
-            )
-        yield pred, target
+        middle = centers[pending] + shift
+        drawn = _finite(np.concatenate((middle - drawn_size / 2, middle + drawn_size / 2), axis=1))
+        kept = keeps(iou_array(drawn, targets[pending]))
+        predicted[pending[kept]] = drawn[kept]
+        pending = pending[~kept]
+        if len(pending) == 0:
+            return predicted, targets
+    raise InfeasibleDatasetError(
+        f"could not satisfy regime {config.regime.value!r} within "
+        f"{_MAX_ATTEMPTS} attempts; widen the perturbation or relax the regime"
+    )
 
 
 @_IEEE
@@ -283,7 +295,7 @@ def fit(config: FitConfig) -> FitResult:
     is rolled back, diverged is set, and the remaining trajectory repeats
     the last finite state; overflow is therefore not an error.
     """
-    params, targets = map(np.array, zip(*_draw_pairs(config)))
+    params, targets = _draw_pairs(config)
     state = np.zeros_like(params)
     huber = HuberParams(config.delta)
     grad, losses = _PAIR_GRAD[config.loss_kind], _LOSSES[config.loss_kind]
@@ -359,9 +371,10 @@ def compare_losses(
     Seed s uses config.seed + s, and the dataset depends only on the seed and
     the dataset settings, so every kind sees identical initial boxes at each
     seed. Rows report the population mean and standard deviation of the final
-    mean IoU (a single seed reports stddev 0). A kind listed twice raises
-    ValueError.
+    mean IoU (a single seed reports stddev 0) and the number of diverged
+    runs. A kind listed twice raises ValueError.
     """
+    _check_integers(num_seeds=num_seeds)
     if num_seeds < 1:
         raise ValueError(f"num_seeds must be >= 1, got {num_seeds}")
     if len(kinds) == 0:
@@ -374,20 +387,19 @@ def compare_losses(
     runs: dict[tuple[LossKind, int], FitResult] = {}
     rows: list[ComparisonRow] = []
     for kind in kinds:
-        finals: list[float] = []
-        initials: list[float] = []
+        results = []
         for s in range(num_seeds):
             seed = config.seed + s
-            result = fit(replace(config, loss_kind=kind, seed=seed))
-            runs[(kind, seed)] = result
-            finals.append(result.mean_iou_final)
-            initials.append(result.mean_iou_initial)
+            results.append(fit(replace(config, loss_kind=kind, seed=seed)))
+            runs[(kind, seed)] = results[-1]
+        finals = [result.mean_iou_final for result in results]
         rows.append(
             ComparisonRow(
                 loss_kind=kind,
                 mean_final_iou=statistics.fmean(finals),
                 stddev_final_iou=statistics.pstdev(finals),
-                mean_initial_iou=statistics.fmean(initials),
+                mean_initial_iou=statistics.fmean(r.mean_iou_initial for r in results),
+                num_diverged=sum(r.diverged for r in results),
             )
         )
     return ComparisonResult(rows=tuple(rows), runs=runs)

@@ -19,12 +19,12 @@ one-sided slopes rather than either convention.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import _IEEE, Box, BoxBatch, _corner_row, _signed_overlap, iou_array, overlap_array
+from .boxes import _IEEE, Box, BoxBatch, _check_integers, _corner_row, _signed_overlap
+from .boxes import iou_array, overlap_array
 # Unused here; bench/worker.py's traced run replaces iou on this module by name.
 from .boxes import iou  # noqa: F401
 from .losses import _LOSSES, HuberParams, LossKind, _blend, _blend_weight
@@ -166,10 +166,7 @@ class GradCheckConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("num_samples", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_integers(num_samples=self.num_samples, seed=self.seed)
         if self.num_samples < 1:
             raise ValueError(f"num_samples must be >= 1, got {self.num_samples}")
         if self.seed < 0:

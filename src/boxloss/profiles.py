@@ -11,12 +11,11 @@ the convex Huber and squared curves.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .boxes import _IEEE, Box, iou_array
+from .boxes import _IEEE, Box, _check_integers, iou_array
 # Unused here; bench/worker.py's traced run replaces iou on this module by name.
 from .boxes import iou  # noqa: F401
 from .losses import _LOSSES, HuberParams, LossKind
@@ -54,8 +53,7 @@ class SweepConfig:
             raise ValueError(f"num_samples must be >= 2, got {self.num_samples}")
         # After the range check, so a non-number still fails it with the
         # TypeError that rerun reports as a value of the wrong type.
-        if not isinstance(self.num_samples, numbers.Integral):
-            raise ValueError(f"num_samples must be an integer, got {self.num_samples!r}")
+        _check_integers(num_samples=self.num_samples)
         HuberParams(self.delta)
 
 

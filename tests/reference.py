@@ -8,15 +8,14 @@ the library's: the Huber boundary |z| = delta takes the linear branch, a
 predicted edge exactly on the target's edge is binding, and the IoU-loss
 gradient is the exact zero vector where the intersection is empty.
 
-fit's sampler `generate_dataset`, written with numpy's own
-`Generator.uniform` and `.normal` calls. `tests/test_draws.py` checks that the
-library's, which draws blocks through `boxloss.boxes._uniform_from` and
-`_normal_from`, gives the same values bit for bit and leaves the generator at
-the same point.
+fit's dataset, `draw_dataset`, one pair and one Python float at a time,
+with `math.exp` and the scalar `iou`, on the same draws as the library's
+array code. `tests/test_draws.py` checks that `generate_dataset` gives the
+same boxes bit for bit.
 
 `fit`'s loop as it was before its steps recomputed only the moved IoU rows:
 every state re-evaluated over the full dataset, on the `Box`-built dataset of
-`generate_dataset` below, with every mean an explicit left-to-right
+the library's `generate_dataset`, with every mean an explicit left-to-right
 `functools.reduce`. `tests/test_fitting.py` checks that the library's `fit`
 gives the same `FitResult` bit for bit.
 """
@@ -36,11 +35,12 @@ from boxloss import (
     HuberParams,
     InfeasibleDatasetError,
     area,
+    generate_dataset,
     intersection_dims,
     iou,
 )
 from boxloss.boxes import _IEEE, iou_array
-from boxloss.fitting import _MAX_ATTEMPTS, _RMSPROP_EPS, OptimizerKind, _regime_accepts
+from boxloss.fitting import _MAX_ATTEMPTS, _RMSPROP_EPS, OptimizerKind
 from boxloss.gradients import _PAIR_GRAD
 from boxloss.losses import _LOSSES
 
@@ -129,51 +129,50 @@ def grad_iou_loss(pred: Box, target: Box) -> GradVector:
     return GradVector(*(np.array(num) / (union * union)).tolist())
 
 
-def generate_dataset(config: FitConfig) -> BoxBatch:
-    """Draw targets inside the frame and predictions as perturbed copies.
-
-    Target widths and heights are uniform in the size range, centers uniform
-    wherever the box fits in the frame. Predictions translate the center by
-    a Gaussian in units of the target size and jitter the size log-normally;
-    draws that violate the overlap regime are rejected and resampled, and a
-    pair that exhausts its attempts raises InfeasibleDatasetError.
-    """
-    rng = np.random.default_rng(config.seed)
+def draw_dataset(config: FitConfig) -> BoxBatch:
+    """fit's dataset drawn one pair at a time in scalar Python, on the same
+    generators and draws as the library's array code: the targets' w, h, cx
+    and cy from one random((K, 4)) call on the first generator spawned from
+    the seed, and each round's size jitters and center shifts from one
+    standard_normal((P, 4)) call on the second for the P pairs still
+    pending, in pair order. Only the valid path is written out."""
+    rng_u, rng_z = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2))
     frame = config.frame
-    predicted: list[Box] = []
-    targets: list[Box] = []
+    lo, hi = float(config.target_size_min), float(config.target_size_max)
+    keeps = {
+        "overlapping": lambda v: v > 0.0,
+        "disjoint": lambda v: v == 0.0,
+        "mixed": lambda v: True,
+    }[config.regime.value]
 
-    for _ in range(config.num_pairs):
-        w = float(rng.uniform(config.target_size_min, config.target_size_max))
-        h = float(rng.uniform(config.target_size_min, config.target_size_max))
-        cx = float(rng.uniform(frame.xmin + w / 2, frame.xmax - w / 2))
-        cy = float(rng.uniform(frame.ymin + h / 2, frame.ymax - h / 2))
-        target = Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+    drawn = []
+    for u_w, u_h, u_x, u_y in rng_u.random((config.num_pairs, 4)).tolist():
+        w = lo + (hi - lo) * u_w
+        h = lo + (hi - lo) * u_h
+        cx = frame.xmin + w / 2 + ((frame.xmax - w / 2) - (frame.xmin + w / 2)) * u_x
+        cy = frame.ymin + h / 2 + ((frame.ymax - h / 2) - (frame.ymin + h / 2)) * u_y
+        drawn.append((w, h, cx, cy))
+    targets = [Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2) for w, h, cx, cy in drawn]
 
-        for _attempt in range(_MAX_ATTEMPTS):
-            try:
-                pw = w * float(math.exp(rng.normal(0.0, config.scale_sigma)))
-                ph = h * float(math.exp(rng.normal(0.0, config.scale_sigma)))
-            except OverflowError:
-                raise ValueError(
-                    f"scale_sigma={config.scale_sigma!r} drew a size factor that overflows"
-                ) from None
-            dx = float(rng.normal(0.0, config.translation_sigma * w))
-            dy = float(rng.normal(0.0, config.translation_sigma * h))
-            pred = Box(
-                cx + dx - pw / 2, cy + dy - ph / 2, cx + dx + pw / 2, cy + dy + ph / 2
-            )
-            if _regime_accepts(config.regime, iou(pred, target)):
-                break
-        else:
-            raise InfeasibleDatasetError(
-                f"could not satisfy regime {config.regime.value!r} within "
-                f"{_MAX_ATTEMPTS} attempts; widen the perturbation or relax the regime"
-            )
-        predicted.append(pred)
-        targets.append(target)
-
-    return BoxBatch(tuple(predicted), tuple(targets))
+    predicted: list = [None] * config.num_pairs
+    pending = list(range(config.num_pairs))
+    for _round in range(_MAX_ATTEMPTS):
+        rejected = []
+        for i, z in zip(pending, rng_z.standard_normal((len(pending), 4)).tolist()):
+            w, h, cx, cy = drawn[i]
+            pw = w * math.exp(config.scale_sigma * z[0])
+            ph = h * math.exp(config.scale_sigma * z[1])
+            px = cx + config.translation_sigma * w * z[2]
+            py = cy + config.translation_sigma * h * z[3]
+            pred = Box(px - pw / 2, py - ph / 2, px + pw / 2, py + ph / 2)
+            if keeps(iou(pred, targets[i])):
+                predicted[i] = pred
+            else:
+                rejected.append(i)
+        pending = rejected
+        if not pending:
+            return BoxBatch(tuple(predicted), tuple(targets))
+    raise InfeasibleDatasetError(config)
 
 
 def _mean(values: np.ndarray) -> float:

@@ -5,8 +5,10 @@ import argparse
 import inspect
 import json
 import math
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from boxloss import gradients
@@ -260,7 +262,9 @@ class TestFitCommand:
         assert all(math.isfinite(r[1]) and 0.0 <= r[2] <= 1.0 for r in rows)
 
         lines = _read(outdir / "summary.csv")
-        assert lines[0] == "loss_kind,mean_final_iou,stddev_final_iou,mean_initial_iou"
+        assert lines[0] == (
+            "loss_kind,mean_final_iou,stddev_final_iou,mean_initial_iou,num_diverged"
+        )
 
     def test_summary_row_names_kind(self, tmp_path):
         outdir = self._run(tmp_path, "--loss", "huber", "--seed", "3")
@@ -270,6 +274,7 @@ class TestFitCommand:
         assert cells[0] == "huber"
         # single seed: stddev is exactly zero
         assert cells[2] == "0.0"
+        assert cells[4] == "0"
 
     def test_compare_writes_matched_runs(self, tmp_path, capsys):
         outdir = self._run(
@@ -299,6 +304,9 @@ class TestFitCommand:
         assert manifest["config"]["loss"] == "iou"
         assert manifest["config"]["learning_rate"] == 0.02
         assert manifest["config"]["num_pairs"] == 4
+        assert manifest["version"] == __version__ == "0.2.0"
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
         assert set(manifest["outputs"]) == {
             str(outdir / "trajectory_iou_seed11.csv"),
             str(outdir / "summary.csv"),
@@ -350,7 +358,7 @@ class TestFitCommand:
         "flags, setting",
         [
             (["--translation-sigma", "1e308"], "translation_sigma"),
-            (["--scale-sigma", "300", "--batch-size", "4", "--seed", "30"], "scale_sigma"),
+            (["--scale-sigma", "300", "--batch-size", "4", "--seed", "796"], "scale_sigma"),
         ],
         ids=["translation_sigma", "scale_sigma"],
     )
@@ -441,7 +449,7 @@ class TestFitCommand:
         argv = [
             "fit", "--out", str(out), "--frame", "0,0,1.79e308,1.79e308",
             "--size-range", "1e300,1e300", "--translation-sigma", "1e7",
-            "--num-pairs", "50", "--steps", "2", "--seed", "0",
+            "--num-pairs", "50", "--steps", "2", "--seed", "1",
         ]
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -503,7 +511,8 @@ class TestFitCommand:
         # where the gradient is zero.
         assert err.endswith(": huber seed 3, huber seed 4\n")
         assert err.startswith("warning: ") and err.count("\n") == 1
-        assert (outdir / "summary.csv").exists()
+        rows = [line.split(",") for line in _read(outdir / "summary.csv")[1:]]
+        assert [(row[0], row[4]) for row in rows] == [("huber", "2"), ("iou", "0")]
 
 
 class TestParserReuse:
@@ -673,7 +682,7 @@ class TestRerun:
     def _snapshot(self, paths: list[str]) -> dict[str, bytes]:
         return {p: Path(p).read_bytes() for p in paths}
 
-    def test_profile_rerun_is_byte_identical(self, tmp_path):
+    def test_profile_rerun_is_byte_identical(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         main(["profile", "--out", str(out), "--deltas", "1.0,1.5"])
         manifest_path = tmp_path / "sweep.manifest.json"
@@ -684,8 +693,9 @@ class TestRerun:
         assert main(["rerun", str(manifest_path)]) == 0
         assert self._snapshot(manifest["outputs"]) == before
         assert json.loads(manifest_path.read_text()) == manifest
+        assert capsys.readouterr().err == ""
 
-    def test_fit_rerun_is_byte_identical(self, tmp_path):
+    def test_fit_rerun_is_byte_identical(self, tmp_path, capsys):
         outdir = tmp_path / "run"
         main(
             [
@@ -715,6 +725,50 @@ class TestRerun:
             Path(path).unlink()
         assert main(["rerun", str(manifest_path)]) == 0
         assert self._snapshot(manifest["outputs"]) == before
+        assert capsys.readouterr().err == ""
+
+    def _fit(self, tmp_path) -> Path:
+        outdir = tmp_path / "run"
+        argv = ["--num-pairs", "4", "--batch-size", "4", "--steps", "3", "--seeds", "2"]
+        assert main(["fit", "--out", str(outdir), "--compare", "huber", *argv]) == 0
+        return outdir / "manifest.json"
+
+    @pytest.mark.parametrize("key", ["num_pairs", "steps", "seed", "batch_size", "num_seeds"])
+    def test_bool_count_or_seed_exits_2(self, tmp_path, capsys, key):
+        message = _replay_edited(capsys, self._fit(tmp_path), **{key: True})
+        assert message == f"boxloss rerun: error: {key} must be an integer, got True"
+
+    def test_manifest_of_format_0_1_exits_2(self, tmp_path, capsys):
+        manifest_path = self._fit(tmp_path)
+        manifest = json.loads(manifest_path.read_text())
+        manifest_path.write_text(json.dumps({**manifest, "version": "0.1.0"}))
+        message = _exit_2_message(capsys, ["rerun", str(manifest_path)])
+        assert message == "boxloss rerun: error: manifest is from boxloss '0.1.0', this is 0.2.0"
+
+    @pytest.mark.parametrize("key", ["python", "numpy"])
+    @pytest.mark.parametrize("command", ["fit", "profile"])
+    def test_other_python_or_numpy_warns_and_replays(self, tmp_path, capsys, command, key):
+        if command == "fit":
+            manifest_path = self._fit(tmp_path)
+        else:
+            assert main(["profile", "--out", str(tmp_path / "p.csv"), "--samples", "21"]) == 0
+            manifest_path = tmp_path / "p.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        before = self._snapshot(manifest["outputs"])
+        for path in manifest["outputs"]:
+            Path(path).unlink()
+        manifest_path.write_text(json.dumps({**manifest, key: "0.0.1"}))
+        capsys.readouterr()
+        assert main(["rerun", str(manifest_path)]) == 0
+        assert self._snapshot(manifest["outputs"]) == before
+        recorded = {"python": manifest["python"], "numpy": manifest["numpy"], key: "0.0.1"}
+        assert capsys.readouterr().err == (
+            f"warning: manifest was written with python {recorded['python']} and numpy "
+            f"{recorded['numpy']}, this is python {platform.python_version()} and numpy "
+            f"{np.__version__}; the outputs may differ\n"
+        )
+        # The replay rewrites the manifest with the running versions.
+        assert json.loads(manifest_path.read_text()) == manifest
 
     def test_missing_manifest_exits_1(self, tmp_path):
         assert main(["rerun", str(tmp_path / "none.json")]) == 1

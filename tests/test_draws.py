@@ -1,12 +1,13 @@
 """The samplers' draws.
 
-fit's `_draw_pairs` keeps numpy's exact streams: `boxloss.boxes._uniform_from`
-and `_normal_from` turn a drawn double or Gaussian into the bits of
-`Generator.uniform` and `.normal`, and a block `rng.random(n)` or
-`rng.standard_normal(n)` takes the 64-bit words of n scalar calls in the same
-order. Both are pinned here on the running numpy and platform, and
-`generate_dataset` is checked against `tests/reference.py`'s copy, which calls
-numpy's scalar methods directly.
+fit's `_draw_pairs` draws on two generators spawned from the seed: the
+targets from one `random((K, 4))` call on the first, and each rejection
+round's size jitters and center shifts from one `standard_normal((P, 4))`
+call on the second for the P pairs still pending. Its targets are numpy's
+`Generator.uniform`, its shifts `.normal` and its size factors `math.exp`
+of the drawn values, which on this platform are also `.lognormal`'s, all bit
+for bit; `generate_dataset` is checked against `tests/reference.py`'s scalar
+copy, and the pairs against their regime and the perturbation law.
 
 gradcheck's `_sample_pairs` builds its pairs from array draws on two
 generators spawned from the seed; its rows are checked against each regime's
@@ -14,17 +15,17 @@ geometric law, and the first rows against any number of samples after them.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from boxloss import REGIMES, Box, FitConfig, GradCheckConfig, LossKind, OverlapRegime
 from boxloss import generate_dataset, gradients
-from boxloss.boxes import _normal_from, _uniform_from, iou_array
+from boxloss.boxes import iou_array
+from boxloss.fitting import _draw_pairs
 
 import reference
-
-_DRAWS = 10_000
 
 
 def _twins(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -42,50 +43,82 @@ def _assert_in_step(ours: np.random.Generator, numpys: np.random.Generator) -> N
     assert ours.random().hex() == numpys.random().hex()
 
 
-def _bounds(n: int, seed: int) -> list[tuple[float, float]]:
-    """Finite (lo, hi) pairs with hi >= lo, magnitudes from 1e-300 to 1e300,
-    some given as Python ints, and some with lo == hi."""
-    src = np.random.default_rng(seed)
-    bounds = []
-    for _ in range(n):
-        lo = float(src.standard_normal()) * 10.0 ** int(src.integers(-300, 301))
-        hi = lo + abs(float(src.standard_normal())) * 10.0 ** int(src.integers(-300, 301))
-        roll = int(src.integers(0, 10))
-        if roll == 0:
-            bounds.append((int(src.integers(-100, 100)), int(src.integers(100, 10**6))))
-        elif roll == 1:
-            bounds.append((lo, lo))
-        else:
-            bounds.append((lo, hi))
-    return bounds
+def _spawned(seed: int) -> list[np.random.Generator]:
+    """The two generators fit's draw spawns from its seed."""
+    return list(map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2)))
 
 
-def _scales(n: int, seed: int) -> list[float]:
-    """Non-negative finite scales, zero included."""
-    src = np.random.default_rng(seed)
-    scales = [
-        abs(float(src.standard_normal())) * 10.0 ** int(src.integers(-300, 301))
-        for _ in range(n)
-    ]
-    return [0.0 if i % 97 == 0 else s for i, s in enumerate(scales)]
+# Integer size bounds, converted to float as numpy's uniform converts them,
+# and a frame off the origin.
+_WIDE = FitConfig(
+    num_pairs=2000, batch_size=1, frame=Box(-7, 3, 70, 93), target_size_min=3,
+    target_size_max=60, scale_sigma=0.7, translation_sigma=2.0,
+)
+
+
+def _numpy_targets(config: FitConfig) -> tuple[np.ndarray, ...]:
+    """Each target's w, h, cx and cy as Generator.uniform draws them on the
+    first spawned generator: the sizes in the size range, then each center
+    wherever its box fits in the frame."""
+    n, f = config.num_pairs, config.frame
+    lo, hi = config.target_size_min, config.target_size_max
+    w, h = _spawned(config.seed)[0].uniform(lo, hi, size=(n, 4))[:, :2].T
+    # The second call redraws the sizes as uniform(w, w), which is w.
+    low = np.stack((w, h, f.xmin + w / 2, f.ymin + h / 2), axis=1)
+    high = np.stack((w, h, f.xmax - w / 2, f.ymax - h / 2), axis=1)
+    _, _, cx, cy = _spawned(config.seed)[0].uniform(low, high).T
+    return w, h, cx, cy
+
+
+def _perturbed(config: FitConfig, factors: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """(n, 4) predicted corners: each target's size times its (n, 2) factors,
+    its center moved by its (n, 2) shifts."""
+    w, h, cx, cy = _numpy_targets(config)
+    pw, ph = w * factors[:, 0], h * factors[:, 1]
+    px, py = cx + shifts[:, 0], cy + shifts[:, 1]
+    return np.stack((px - pw / 2, py - ph / 2, px + pw / 2, py + ph / 2), axis=1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_uniform_is_numpys(seed):
-    ours, numpys = _twins(seed)
-    for lo, hi in _bounds(_DRAWS, 100 + seed):
-        got = _uniform_from(ours.random(), lo, hi)
-        assert got.hex() == float(numpys.uniform(lo, hi)).hex(), (lo, hi)
-    _assert_in_step(ours, numpys)
+    config = replace(_WIDE, seed=seed)
+    w, h, cx, cy = _numpy_targets(config)
+    want = np.stack((cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2), axis=1)
+    _, targets = _draw_pairs(config)
+    assert _hex(targets.ravel()) == _hex(want.ravel())
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_normal_is_numpys(seed):
-    ours, numpys = _twins(seed)
-    for scale in _scales(_DRAWS, 200 + seed):
-        got = _normal_from(ours.standard_normal(), scale)
-        assert got.hex() == float(numpys.normal(0.0, scale)).hex(), scale
-    _assert_in_step(ours, numpys)
+    """A mixed dataset keeps every pair in its first round: each prediction
+    is its target scaled by Generator.lognormal(0, scale_sigma) and shifted
+    by Generator.normal(0, translation_sigma * size), drawn on the second
+    spawned generator."""
+    config = replace(_WIDE, seed=seed)
+    w, h, _, _ = _numpy_targets(config)
+    factors = _spawned(seed)[1].lognormal(0.0, config.scale_sigma, size=(len(w), 4))
+    sigma = config.translation_sigma
+    # The size jitters' columns of this call go unused.
+    scales = np.stack((w, h, sigma * w, sigma * h), axis=1)
+    shifts = _spawned(seed)[1].normal(0.0, scales)
+    predicted, _ = _draw_pairs(config)
+    want = _perturbed(config, factors[:, :2], shifts[:, 2:])
+    assert _hex(predicted.ravel()) == _hex(want.ravel())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_size_factors_are_math_exp(seed):
+    """Each size factor is math.exp of its drawn value scale_sigma * z, bit
+    for bit. numpy's float64 exp may differ from it in the last bit,
+    depending on the SIMD code numpy dispatches to."""
+    config = replace(_WIDE, seed=seed)
+    z = _spawned(seed)[1].standard_normal((config.num_pairs, 4))
+    jitter = (config.scale_sigma * z[:, :2]).ravel().tolist()
+    factors = np.reshape([math.exp(v) for v in jitter], (-1, 2))
+    w, h, _, _ = _numpy_targets(config)
+    shifts = config.translation_sigma * np.stack((w, h), axis=1) * z[:, 2:]
+    predicted, _ = _draw_pairs(config)
+    assert _hex(predicted.ravel()) == _hex(_perturbed(config, factors, shifts).ravel())
 
 
 @pytest.mark.parametrize(
@@ -93,27 +126,63 @@ def test_normal_is_numpys(seed):
     [(1.0, 0.5), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (-1e308, 1e308), (3, 2)],
 )
 def test_uniform_refuses_what_numpy_refuses(lo, hi):
-    """A negative or non-finite range is an error in both."""
+    """The draw computes numpy's uniform itself, without numpy's refusal of
+    a negative or non-finite range, so FitConfig refuses each such size
+    range before anything is drawn."""
     with pytest.raises((ValueError, OverflowError)):
         np.random.default_rng(0).uniform(lo, hi)
-    with pytest.raises(ValueError, match="negative or not finite"):
-        _uniform_from(0.5, lo, hi)
+    with pytest.raises(ValueError, match="target size range must satisfy"):
+        FitConfig(target_size_min=lo, target_size_max=hi)
 
 
-@pytest.mark.parametrize(
-    "lo, hi",
-    [(1.0, 0.5), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (-1e308, 1e308), (3, 2)],
-)
-def test_uniform_from_refuses_before_it_draws(lo, hi):
-    """The range check comes before the drawn value is read: every double a
-    block can hold, and a NaN that none can, meets one refusal that names the
-    range."""
-    refusals = set()
-    for u in (0.0, 0.5, math.nextafter(1.0, 0.0), math.nan):
-        with pytest.raises(ValueError, match="negative or not finite") as refused:
-            _uniform_from(u, lo, hi)
-        refusals.add(str(refused.value))
-    assert refusals == {f"uniform range [{float(lo)!r}, {hi!r}] is negative or not finite"}
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("regime", list(OverlapRegime))
+def test_every_pair_meets_its_regime(regime, seed):
+    config = replace(_WIDE, num_pairs=500, regime=regime, seed=seed)
+    predicted, targets = _draw_pairs(config)
+    ious = iou_array(predicted, targets)
+    if regime is OverlapRegime.DISJOINT:
+        assert (ious == 0.0).all()
+    elif regime is OverlapRegime.OVERLAPPING:
+        assert (ious > 0.0).all()
+    else:
+        assert (ious == 0.0).any() and (ious > 0.0).any()
+    f = config.frame
+    assert (targets[:, :2] >= (f.xmin, f.ymin)).all()
+    assert (targets[:, 2:] <= (f.xmax, f.ymax)).all()
+    # A side is its drawn size up to the rounding of the two corners.
+    sides = targets[:, 2:] - targets[:, :2]
+    slack = 4 * np.spacing(max(map(abs, f.corners())))
+    assert (sides >= config.target_size_min - slack).all()
+    assert (sides <= config.target_size_max + slack).all()
+
+
+def test_mixed_pairs_follow_the_perturbation_law():
+    """Over 20,000 mixed pairs, 40,000 values each, the log size factors
+    have mean 0 and standard deviation scale_sigma, and the center shifts in
+    units of the target's size mean 0 and standard deviation
+    translation_sigma. Tolerance: five standard errors, sigma * 5 / sqrt(n)
+    for the mean and 5 / sqrt(2n) relative (1.8 %) for the deviation."""
+    config = FitConfig(num_pairs=20_000, batch_size=1, scale_sigma=0.2, translation_sigma=0.3)
+    predicted, targets = _draw_pairs(config)
+    size, p_size = targets[:, 2:] - targets[:, :2], predicted[:, 2:] - predicted[:, :2]
+    shift = ((predicted[:, 2:] + predicted[:, :2]) - (targets[:, 2:] + targets[:, :2])) / 2
+    for values, sigma in ((np.log(p_size / size), 0.2), (shift / size, 0.3)):
+        n = values.size
+        assert n == 40_000
+        assert abs(values.mean()) < sigma * 5 / math.sqrt(n)
+        assert abs(values.std() / sigma - 1) < 5 / math.sqrt(2 * n)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (37, 463), (500, 1)])
+def test_mixed_dataset_is_a_prefix_of_a_larger_one(n, m):
+    """Every mixed pair is kept in the first round, which draws one row per
+    pair, so n pairs do not depend on how many follow. Rejection rounds draw
+    for the pairs still pending, so the other regimes have no such prefix."""
+    small = _draw_pairs(FitConfig(num_pairs=n, batch_size=1, seed=4))
+    large = _draw_pairs(FitConfig(num_pairs=n + m, batch_size=1, seed=4))
+    for ours, longer in zip(small, large):
+        assert ours.tobytes() == longer[:n].tobytes()
 
 
 @pytest.mark.parametrize("pending", [False, True], ids=["whole_word", "pending_half"])
@@ -121,8 +190,9 @@ def test_uniform_from_refuses_before_it_draws(lo, hi):
 def test_block_draw_is_its_scalar_draws(method, pending):
     """rng.random(n) and rng.standard_normal(n) take whole 64-bit words in
     the order of n scalar calls and leave the buffered 32-bit half of an odd
-    number of integers calls alone, so a sampler may draw a run of doubles
-    or Gaussians in one call even between two integers calls."""
+    number of integers calls alone. So the first rows of a block draw do not
+    depend on how many rows follow, which is what makes gradcheck's first
+    samples and a mixed dataset's first pairs independent of the count."""
     ours, numpys = _twins(7)
     for rng in (ours, numpys):
         for _ in range(3 if pending else 2):
@@ -219,7 +289,7 @@ _DATASETS = [
         for regime in OverlapRegime
         for seed in (0, 1, 2)
     ),
-    # Most draws land in contact and are rejected: 28 to 48 draws per kept pair.
+    # Most draws land in contact and are rejected, so pairs take many rounds.
     *(
         FitConfig(
             num_pairs=30, batch_size=16, regime="disjoint", translation_sigma=0.4, seed=seed
@@ -241,17 +311,7 @@ _DATASETS = [
 
 
 @pytest.mark.parametrize("config", _DATASETS)
-def test_generate_dataset_matches_reference(config, monkeypatch):
-    made = []
-    default_rng = np.random.default_rng
-
-    def recording_rng(seed):
-        made.append(default_rng(seed))
-        return made[-1]
-
-    monkeypatch.setattr(np.random, "default_rng", recording_rng)
-    ours, theirs = generate_dataset(config), reference.generate_dataset(config)
+def test_generate_dataset_matches_reference(config):
+    ours, theirs = generate_dataset(config), reference.draw_dataset(config)
     for got, want in ((ours.predicted, theirs.predicted), (ours.target, theirs.target)):
         assert [_hex(b.corners()) for b in got] == [_hex(b.corners()) for b in want]
-    assert len(made) == 2
-    _assert_in_step(*made)

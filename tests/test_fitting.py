@@ -101,12 +101,28 @@ class TestGenerateDataset:
         [
             ({"translation_sigma": 1e308}, "translation_sigma=1e+308 drew a center shift"),
             # The size factor is finite; the box size it gives is not.
-            ({"scale_sigma": 300.0, "seed": 30}, "scale_sigma=300.0 drew a box size"),
+            ({"scale_sigma": 300.0, "seed": 796}, "scale_sigma=300.0 drew a box size"),
         ],
     )
     def test_non_finite_draw_names_its_setting(self, kwargs, message):
         config = FitConfig(num_pairs=4, batch_size=4, **kwargs)
         with pytest.raises(ValueError, match=re.escape(message)):
+            generate_dataset(config)
+
+    @pytest.mark.parametrize("regime", list(OverlapRegime))
+    def test_drawn_corner_overflow_raises_in_every_regime(self, regime):
+        # Every setting is finite, but a center shift carries a drawn corner
+        # past the largest float; no regime may reject and redraw it.
+        config = FitConfig(
+            num_pairs=50,
+            frame=Box(0.0, 0.0, 1.79e308, 1.79e308),
+            target_size_min=1e300,
+            target_size_max=1e300,
+            translation_sigma=1e7,
+            regime=regime,
+            seed=1,
+        )
+        with pytest.raises(ValueError, match=r"^xmin must be finite, got inf$"):
             generate_dataset(config)
 
     @pytest.mark.parametrize(
@@ -384,6 +400,20 @@ class TestCompareLosses:
             compare_losses(config, [], num_seeds=2)
         with pytest.raises(ValueError, match=r"^loss kind 'huber' is repeated$"):
             compare_losses(config, [LossKind.HUBER, "squared", "huber"], num_seeds=1)
+        for value in (True, 2.0):
+            with pytest.raises(ValueError, match=rf"^num_seeds must be an integer, got {value}$"):
+                compare_losses(config, [LossKind.HUBER], num_seeds=value)
+
+    def test_rows_count_diverged_runs(self):
+        config = FitConfig(
+            steps=5, num_pairs=6, batch_size=6, optimizer="plain_gd", learning_rate=1e308
+        )
+        result = compare_losses(config, [LossKind.HUBER, LossKind.IOU], num_seeds=3)
+        for row in result.rows:
+            runs = [result.runs[(row.loss_kind, s)] for s in range(3)]
+            assert row.num_diverged == sum(run.diverged for run in runs)
+        # One step throws the IoU runs onto the plateau, where they stay finite.
+        assert [row.num_diverged for row in result.rows] == [3, 0]
 
 
 class TestFitConfigValidation:
@@ -443,6 +473,14 @@ class TestFitConfigValidation:
             target_size_min=100.0, target_size_max=100.0, num_pairs=4, batch_size=4
         )
         assert all(_contained(t, config.frame) for t in generate_dataset(config).target)
+
+    @pytest.mark.parametrize("name", ["num_pairs", "steps", "seed", "batch_size"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_bool_counts_and_seeds(self, name, value):
+        # A bool is an int to Python: True would run one pair or one step.
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value}$"):
+            FitConfig(**{name: value})
+        assert FitConfig(**{"batch_size": 1, name: np.int64(3)})
 
     def test_rejects_unknown_enum_values(self):
         with pytest.raises(ValueError):

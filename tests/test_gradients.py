@@ -310,6 +310,14 @@ class TestFiniteDiffCheck:
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             GradCheckConfig(seed=-1)
 
+    @pytest.mark.parametrize("name", ["num_samples", "seed"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_config_refuses_bools(self, name, value):
+        # A bool is an int to Python, and True would check one sample.
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value}$"):
+            GradCheckConfig(**{name: value})
+        assert GradCheckConfig(**{name: np.int64(3)})
+
     def test_step_and_tolerance_validation(self):
         with pytest.raises(ValueError):
             finite_diff_check(LossKind.HUBER, step=1e-2)
