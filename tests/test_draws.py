@@ -51,8 +51,13 @@ def _spawned(seed: int) -> list[np.random.Generator]:
 # Integer size bounds, converted to float as numpy's uniform converts them,
 # and a frame off the origin.
 _WIDE = FitConfig(
-    num_pairs=2000, batch_size=1, frame=Box(-7, 3, 70, 93), target_size_min=3,
-    target_size_max=60, scale_sigma=0.7, translation_sigma=2.0,
+    num_pairs=2000,
+    batch_size=1,
+    frame=Box(-7, 3, 70, 93),
+    target_size_min=3,
+    target_size_max=60,
+    scale_sigma=0.7,
+    translation_sigma=2.0,
 )
 
 
