@@ -168,11 +168,14 @@ def intersection_dims(a: Box, b: Box) -> tuple[float, float]:
 
 
 def iou(a: Box, b: Box) -> float:
-    """Intersection over union, clamped to [0, 1].
+    """Intersection over union, clamped to [0, 1]; of two (K, 4) corner
+    arrays, row by row through iou_array, under the caller's _IEEE.
 
     Every subexpression is symmetric in (a, b), so iou(a, b) == iou(b, a)
     exactly. Two degenerate boxes give 0 by convention.
     """
+    if isinstance(a, np.ndarray):
+        return iou_array(a, b)
     iw, ih = intersection_dims(a, b)
     inter = iw * ih
     union = area(a) + area(b) - inter

@@ -10,6 +10,7 @@ a constant during differentiation.
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 from dataclasses import dataclass, replace
@@ -17,14 +18,12 @@ from enum import Enum
 
 import numpy as np
 
-from .boxes import _IEEE, Box, BoxBatch, _check_integers, iou_array
+from .boxes import _IEEE, Box, BoxBatch, _check_integers, iou, iou_array
 from .gradients import _PAIR_GRAD
 from .losses import _LOSSES, HuberParams, LossKind, _blend_weight, _mean
 
-# Unused here: fit runs on iou_array and the array rows of _LOSSES and
-# _PAIR_GRAD. The traced run of bench/worker.py replaces these names on this
-# module.
-from .boxes import iou  # noqa: F401
+# Unused here: fit runs on the array rows of _LOSSES and _PAIR_GRAD. The
+# traced run of bench/worker.py replaces these names on this module.
 from .gradients import grad_huber, grad_iou_loss  # noqa: F401
 from .losses import loss_batch  # noqa: F401
 
@@ -193,13 +192,16 @@ def generate_dataset(config: FitConfig) -> BoxBatch:
     wherever the box fits in the frame. Predictions translate the center by
     a Gaussian in units of the target size and jitter the size log-normally;
     draws that violate the overlap regime are rejected and resampled, and a
-    pair that exhausts its attempts raises InfeasibleDatasetError. A draw
+    pair that exhausts its attempts raises InfeasibleDatasetError, after
+    _MAX_ATTEMPTS rounds over every pending pair: an unmeetable regime costs
+    time in proportion to num_pairs, unless it is refused up front. A draw
     whose box size or center shift is not finite raises ValueError naming
     scale_sigma or translation_sigma, a drawn corner that overflows raises
     Box's ValueError, and a target that rounds to zero width or height, far
     from the origin, raises ValueError naming the frame.
     """
-    return BoxBatch(*([Box(*row) for row in rows.tolist()] for rows in _draw_pairs(config)))
+    predicted, targets, _ = _draw_pairs(config)
+    return BoxBatch(*([Box(*row) for row in rows.tolist()] for rows in (predicted, targets)))
 
 
 def _finite(corners: np.ndarray) -> np.ndarray:
@@ -213,17 +215,18 @@ def _finite(corners: np.ndarray) -> np.ndarray:
     return corners
 
 
-def _draw_pairs(config: FitConfig) -> tuple[np.ndarray, np.ndarray]:
+def _draw_pairs(config: FitConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """generate_dataset's predicted and target boxes as (K, 4) corner arrays,
-    which fit reads as they are.
+    and their K IoUs, which fit reads as they are.
 
     Two generators are spawned from the seed. The targets' w, h, cx and cy
     are one random((K, 4)) call on the first, each numpy's uniform draw
     low + (high - low) * u. Each rejection round draws one
     standard_normal((P, 4)) on the second for the P pairs still pending: two
     size jitters, whose factors are math.exp of sigma * z, and two center
-    shifts, then keeps the pairs its regime accepts. A pair that no round
-    accepts within _MAX_ATTEMPTS raises InfeasibleDatasetError."""
+    shifts, then keeps the pairs its regime accepts by their IoUs. A pair
+    that no round accepts within _MAX_ATTEMPTS raises
+    InfeasibleDatasetError."""
     rng_u, rng_z = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2))
     frame, lo = config.frame, float(config.target_size_min)
     span = float(config.target_size_max) - lo
@@ -243,8 +246,10 @@ def _draw_pairs(config: FitConfig) -> tuple[np.ndarray, np.ndarray]:
         )
 
     sizes, centers = np.stack((w, h), axis=1), np.stack((cx, cy), axis=1)
+    if config.regime is OverlapRegime.DISJOINT and config.translation_sigma == 0:
+        _refuse_shared_centers(config, sizes, centers, targets)
     keeps = _KEEPS[config.regime]
-    predicted = np.empty_like(targets)
+    predicted, ious = np.empty_like(targets), np.empty(config.num_pairs)
     pending = np.arange(config.num_pairs)
     for _round in range(_MAX_ATTEMPTS):
         z = rng_z.standard_normal((len(pending), 4))
@@ -268,15 +273,37 @@ def _draw_pairs(config: FitConfig) -> tuple[np.ndarray, np.ndarray]:
             )
         middle = centers[pending] + shift
         drawn = _finite(np.concatenate((middle - drawn_size / 2, middle + drawn_size / 2), axis=1))
-        kept = keeps(iou_array(drawn, targets[pending]))
-        predicted[pending[kept]] = drawn[kept]
+        drawn_ious = iou(drawn, targets[pending])
+        kept = keeps(drawn_ious)
+        predicted[pending[kept]], ious[pending[kept]] = drawn[kept], drawn_ious[kept]
         pending = pending[~kept]
         if len(pending) == 0:
-            return predicted, targets
+            return predicted, targets, ious
     raise InfeasibleDatasetError(
         f"could not satisfy regime {config.regime.value!r} within "
         f"{_MAX_ATTEMPTS} attempts; widen the perturbation or relax the regime"
     )
+
+
+def _refuse_shared_centers(config, sizes, centers, targets) -> None:
+    """Raise InfeasibleDatasetError when some pair can never be disjoint.
+
+    With no center shift a prediction shares its target's center, so its IoU
+    is smallest at the extreme size factors exp(±scale_sigma * 38), beyond
+    which a standard normal lies with chance below 1e-315: a pair whose four
+    extreme predictions overlap its target overlaps it at every draw. Past
+    exp(±700), which overflows, any side collapses anyway.
+    """
+    reach = min(config.scale_sigma * 38.0, 700.0)
+    overlaps = np.full(len(sizes), True)
+    for factors in itertools.product((math.exp(-reach), math.exp(reach)), repeat=2):
+        half = sizes * factors / 2
+        overlaps &= iou_array(np.hstack((centers - half, centers + half)), targets) > 0.0
+    if overlaps.any():
+        raise InfeasibleDatasetError(
+            f"regime 'disjoint' cannot be met with translation_sigma=0 and scale_sigma="
+            f"{config.scale_sigma!r}: each prediction shares its target's center and overlaps it"
+        )
 
 
 @_IEEE
@@ -295,7 +322,7 @@ def fit(config: FitConfig) -> FitResult:
     is rolled back, diverged is set, and the remaining trajectory repeats
     the last finite state; overflow is therefore not an error.
     """
-    params, targets = _draw_pairs(config)
+    params, targets, ious = _draw_pairs(config)
     state = np.zeros_like(params)
     huber = HuberParams(config.delta)
     grad, losses = _PAIR_GRAD[config.loss_kind], _LOSSES[config.loss_kind]
@@ -311,7 +338,6 @@ def fit(config: FitConfig) -> FitResult:
         mean_iou = _blend_weight(ious)
         return _mean(losses(params, targets, ious, mean_iou, huber)), mean_iou
 
-    ious = iou_array(params, targets)
     loss, mean_iou = evaluate()
     loss_traj = [loss]
     iou_traj = [mean_iou]

@@ -100,6 +100,7 @@ def _mean_iou(pairs) -> float:
 def test_iou_rows_match_scalar(pairs):
     pred, target = _arrays(pairs)
     assert _bits(iou_array(pred, target).tolist()) == _bits(iou(p, t) for p, t in pairs)
+    assert _bits(iou(pred, target).tolist()) == _bits(iou(p, t) for p, t in pairs)
 
 
 # The first example's corner terms 1.125, 2**-53, 2**-53, 2**-53 sum to 1.125

@@ -89,7 +89,7 @@ def test_uniform_is_numpys(seed):
     config = replace(_WIDE, seed=seed)
     w, h, cx, cy = _numpy_targets(config)
     want = np.stack((cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2), axis=1)
-    _, targets = _draw_pairs(config)
+    _, targets, _ = _draw_pairs(config)
     assert _hex(targets.ravel()) == _hex(want.ravel())
 
 
@@ -106,7 +106,7 @@ def test_normal_is_numpys(seed):
     # The size jitters' columns of this call go unused.
     scales = np.stack((w, h, sigma * w, sigma * h), axis=1)
     shifts = _spawned(seed)[1].normal(0.0, scales)
-    predicted, _ = _draw_pairs(config)
+    predicted, _, _ = _draw_pairs(config)
     want = _perturbed(config, factors[:, :2], shifts[:, 2:])
     assert _hex(predicted.ravel()) == _hex(want.ravel())
 
@@ -122,7 +122,7 @@ def test_size_factors_are_math_exp(seed):
     factors = np.reshape([math.exp(v) for v in jitter], (-1, 2))
     w, h, _, _ = _numpy_targets(config)
     shifts = config.translation_sigma * np.stack((w, h), axis=1) * z[:, 2:]
-    predicted, _ = _draw_pairs(config)
+    predicted, _, _ = _draw_pairs(config)
     assert _hex(predicted.ravel()) == _hex(_perturbed(config, factors, shifts).ravel())
 
 
@@ -144,8 +144,8 @@ def test_uniform_refuses_what_numpy_refuses(lo, hi):
 @pytest.mark.parametrize("regime", list(OverlapRegime))
 def test_every_pair_meets_its_regime(regime, seed):
     config = replace(_WIDE, num_pairs=500, regime=regime, seed=seed)
-    predicted, targets = _draw_pairs(config)
-    ious = iou_array(predicted, targets)
+    predicted, targets, ious = _draw_pairs(config)
+    assert ious.tobytes() == iou_array(predicted, targets).tobytes()
     if regime is OverlapRegime.DISJOINT:
         assert (ious == 0.0).all()
     elif regime is OverlapRegime.OVERLAPPING:
@@ -169,7 +169,7 @@ def test_mixed_pairs_follow_the_perturbation_law():
     translation_sigma. Tolerance: five standard errors, sigma * 5 / sqrt(n)
     for the mean and 5 / sqrt(2n) relative (1.8 %) for the deviation."""
     config = FitConfig(num_pairs=20_000, batch_size=1, scale_sigma=0.2, translation_sigma=0.3)
-    predicted, targets = _draw_pairs(config)
+    predicted, targets, _ = _draw_pairs(config)
     size, p_size = targets[:, 2:] - targets[:, :2], predicted[:, 2:] - predicted[:, :2]
     shift = ((predicted[:, 2:] + predicted[:, :2]) - (targets[:, 2:] + targets[:, :2])) / 2
     for values, sigma in ((np.log(p_size / size), 0.2), (shift / size, 0.3)):

@@ -26,6 +26,8 @@ from boxloss import (
     grad_iou_loss,
     iou,
 )
+from boxloss import fitting
+from boxloss.boxes import iou_array
 
 
 def _contained(box: Box, frame: Box) -> bool:
@@ -146,6 +148,49 @@ class TestGenerateDataset:
         )
         with pytest.raises(InfeasibleDatasetError):
             generate_dataset(config)
+
+    @pytest.mark.parametrize("scale_sigma", [0.0, 0.1, 0.5])
+    def test_disjoint_without_shift_is_refused_before_any_round(self, monkeypatch, scale_sigma):
+        # Each prediction shares its target's center and overlaps it at any
+        # reachable size factor. Rounds over 200,000 pairs would take minutes;
+        # the refusal comes before the first, whose IoUs go through fitting.iou.
+        def no_round(*args):
+            raise AssertionError("a rejection round ran")
+
+        monkeypatch.setattr(fitting, "iou", no_round)
+        config = FitConfig(
+            regime="disjoint", translation_sigma=0.0, scale_sigma=scale_sigma,
+            num_pairs=200_000, batch_size=1,
+        )
+        message = f"with translation_sigma=0 and scale_sigma={scale_sigma!r}: each prediction"
+        with pytest.raises(InfeasibleDatasetError, match=re.escape(message)):
+            generate_dataset(config)
+
+    def test_disjoint_without_shift_is_drawn_when_a_side_can_collapse(self):
+        # Size factors exp(30 * z) shrink a side below its center's rounding
+        # step for z below about -1.2, so the regime can be met.
+        config = FitConfig(
+            regime="disjoint", translation_sigma=0.0, scale_sigma=30.0, num_pairs=30, seed=2
+        )
+        data = generate_dataset(config)
+        assert all(iou(p, t) == 0.0 for p, t in data.pairs())
+
+    def test_regime_unmet_in_every_round_raises(self):
+        # Shifts of about 1e9 target sizes overlap with chance near 1e-9, so
+        # both pairs exhaust their attempts.
+        config = FitConfig(
+            regime="overlapping", translation_sigma=1e9, num_pairs=2, batch_size=2, seed=0
+        )
+        with pytest.raises(InfeasibleDatasetError, match="within 1000 attempts"):
+            generate_dataset(config)
+
+    def test_draw_evaluates_ious_through_the_module_name(self, monkeypatch):
+        # One iou call per rejection round; bench/worker.py traces the draw
+        # by replacing iou on this module.
+        calls = []
+        monkeypatch.setattr(fitting, "iou", lambda a, b: calls.append(len(a)) or iou_array(a, b))
+        fit(FitConfig(num_pairs=50, batch_size=50, steps=1))
+        assert calls == [50]
 
 
 class TestFit:
