@@ -35,12 +35,23 @@ _MAX_ORACLE_CELLS = 50_000_000
 _IEEE = np.errstate(all="ignore")
 
 
-def _check_integers(**values) -> None:
-    """The configs' one check of counts and seeds: each value must be an
-    integer, and not a bool, which would count as 0 or 1."""
-    for name, value in values.items():
+def _check_counts(**counts: tuple[object, float]) -> None:
+    """The one check of counts and seeds, given as name=(value, minimum):
+    each value must be an integer, not a bool, which would count as 0 or 1,
+    and at least its minimum."""
+    for name, (value, minimum) in counts.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _check_numbers(**values) -> None:
+    """Float settings refuse a bool, which would count as 0.0 or 1.0. Other
+    non-numbers fail the settings' own range checks with a TypeError."""
+    for name, value in values.items():
+        if isinstance(value, bool):
+            raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Command line tool: loss profiles, gradient checks, and fitting runs.
 
-Exit codes: 0 success, 1 I/O failure, 2 invalid flags or config,
-3 gradient check over tolerance, 4 infeasible dataset generation.
+Exit codes: 0 success, 1 I/O failure or a manifest that is not UTF-8 JSON,
+2 invalid flags or config (a bool for a count or a float setting, or a count
+too large to allocate), 3 gradient check over tolerance, 4 infeasible
+dataset generation. `main` alone maps failures to these codes.
 
 Every file-producing command also writes a manifest recording the command,
 the fully resolved configuration, the seed, the tool, Python and numpy
@@ -111,9 +113,12 @@ def _resolve_seed(flag_value, file_value, default: int) -> int:
     if file_value is not None:
         return file_value
     env = os.environ.get(_ENV_SEED)
-    if env is not None:
+    if env is None:
+        return default
+    try:
         return int(env)
-    return default
+    except ValueError:
+        raise ValueError(f"{_ENV_SEED} must be an integer")
 
 
 # ---------------------------------------------------------------------------
@@ -126,34 +131,30 @@ def _execute_profile(cfg: dict) -> list[str]:
     if not isinstance(out, str):
         raise TypeError(f"out must be a string, got {out!r}")
     stem = out[:-4] if out.endswith(".csv") else out
-    outputs: list[str] = []
-    if cfg["deltas"]:
-        for i, d in enumerate(cfg["deltas"]):
-            if d in cfg["deltas"][:i]:
+    deltas = cfg["deltas"]
+    if deltas:
+        for i, d in enumerate(deltas):
+            if d in deltas[:i]:
                 raise ValueError(f"delta {_fmt(d)} is repeated in deltas")
-        for d in cfg["deltas"]:
-            rows = sweep_mismatch(replace(config, delta=d), cfg["mismatch_scale"])
-            path = f"{stem}_delta{_fmt(d)}.csv"
-            _write_lines(path, _sweep_lines(rows))
-            outputs.append(path)
+        runs = [(replace(config, delta=d), f"{stem}_delta{_fmt(d)}.csv") for d in deltas]
     else:
-        rows = sweep_mismatch(config, cfg["mismatch_scale"])
-        path = out if out.endswith(".csv") else f"{out}.csv"
-        _write_lines(path, _sweep_lines(rows))
-        outputs.append(path)
+        runs = [(config, f"{stem}.csv")]
+    for run_config, path in runs:
+        _write_lines(path, _sweep_lines(sweep_mismatch(run_config, cfg["mismatch_scale"])))
+    outputs = [path for _, path in runs]
     _write_manifest(f"{stem}.manifest.json", "profile", cfg, None, outputs)
     return outputs
 
 
-def _cmd_profile(args, parser) -> int:
+def _cmd_profile(args) -> int:
     deltas = None
     if args.deltas is not None:
         try:
             deltas = [float(part) for part in args.deltas.split(",") if part.strip()]
         except ValueError:
-            parser.error(f"--deltas expects a comma-separated float list, got {args.deltas!r}")
+            raise ValueError(f"--deltas expects a comma-separated float list, got {args.deltas!r}")
         if not deltas:
-            parser.error("--deltas expects at least one value")
+            raise ValueError("--deltas expects at least one value")
     cfg = {
         "out": args.out,
         "delta": args.delta,
@@ -161,10 +162,7 @@ def _cmd_profile(args, parser) -> int:
         "samples": args.samples,
         "deltas": deltas,
     }
-    try:
-        _execute_profile(cfg)
-    except ValueError as exc:
-        parser.error(str(exc))
+    _execute_profile(cfg)
     return 0
 
 
@@ -172,20 +170,13 @@ def _cmd_profile(args, parser) -> int:
 # gradcheck
 
 
-def _cmd_gradcheck(args, parser) -> int:
-    try:
-        seed = _resolve_seed(args.seed, None, GradCheckConfig.seed)
-    except ValueError:
-        parser.error(f"{_ENV_SEED} must be an integer")
-
+def _cmd_gradcheck(args) -> int:
+    seed = _resolve_seed(args.seed, None, GradCheckConfig.seed)
     kinds = list(LossKind) if args.loss == "all" else [LossKind(args.loss)]
     failed = False
     # GradCheckConfig and _check_kinds validate --samples, --step and --tol.
-    try:
-        config = GradCheckConfig(num_samples=args.samples, regime=args.regime, seed=seed)
-        results = _check_kinds(kinds, config, tolerance=args.tol, step=args.step)
-    except ValueError as exc:
-        parser.error(str(exc))
+    config = GradCheckConfig(num_samples=args.samples, regime=args.regime, seed=seed)
+    results = _check_kinds(kinds, config, tolerance=args.tol, step=args.step)
     for kind, result in zip(kinds, results):
         ok = result.max_relative_error <= args.tol
         failed = failed or not ok
@@ -293,17 +284,9 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _cmd_fit(args, parser) -> int:
+def _cmd_fit(args) -> int:
     cfg = {key: _plain(f.default) for key, f in _FIT_FIELDS.items()}
-    file_values: dict = {}
-    if args.config is not None:
-        try:
-            file_values = _read_config_file(args.config)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except ValueError as exc:
-            parser.error(str(exc))
+    file_values = {} if args.config is None else _read_config_file(args.config)
     cfg.update(file_values)
 
     flags = vars(args)
@@ -312,20 +295,17 @@ def _cmd_fit(args, parser) -> int:
         try:
             cfg["frame"] = _parse_value(Box, args.frame)
         except ValueError:
-            parser.error(f"--frame expects xmin,ymin,xmax,ymax, got {args.frame!r}")
+            raise ValueError(f"--frame expects xmin,ymin,xmax,ymax, got {args.frame!r}")
     if args.size_range is not None:
         try:
             lo, hi = (float(part) for part in args.size_range.split(","))
         except ValueError:
-            parser.error(f"--size-range expects min,max, got {args.size_range!r}")
+            raise ValueError(f"--size-range expects min,max, got {args.size_range!r}")
         cfg["target_size_min"], cfg["target_size_max"] = lo, hi
     if len(cfg["frame"]) != 4:
-        parser.error(f"frame needs exactly 4 coordinates, got {cfg['frame']!r}")
+        raise ValueError(f"frame needs exactly 4 coordinates, got {cfg['frame']!r}")
 
-    try:
-        cfg["seed"] = _resolve_seed(args.seed, file_values.get("seed"), FitConfig.seed)
-    except ValueError:
-        parser.error(f"{_ENV_SEED} must be an integer")
+    cfg["seed"] = _resolve_seed(args.seed, file_values.get("seed"), FitConfig.seed)
     # Unless the file or a flag sets it, the batch size is capped at num_pairs.
     if "batch_size" not in file_values and args.batch_size is None:
         cfg["batch_size"] = min(cfg["batch_size"], cfg["num_pairs"])
@@ -334,16 +314,12 @@ def _cmd_fit(args, parser) -> int:
     if args.compare is not None:
         compare = [part.strip() for part in args.compare.split(",") if part.strip()]
         if not compare:
-            parser.error("--compare expects at least one loss kind")
+            raise ValueError("--compare expects at least one loss kind")
     cfg["compare"] = compare
     default_seeds = _COMPARE_ARGS["num_seeds"].default if compare else 1
     cfg["num_seeds"] = default_seeds if args.seeds is None else args.seeds
     cfg["out"] = args.out
-
-    try:
-        _execute_fit(cfg)
-    except ValueError as exc:
-        parser.error(str(exc))
+    _execute_fit(cfg)
     return 0
 
 
@@ -358,31 +334,36 @@ _REPLAY = {
 }
 
 
-def _cmd_rerun(args, parser) -> int:
+class _UnreadableManifest(Exception):
+    """A manifest that is not UTF-8 JSON, or nests too deep to parse."""
+
+
+def _cmd_rerun(args) -> int:
     with open(args.manifest, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise _UnreadableManifest(exc)
     if not isinstance(manifest, dict):
-        parser.error("manifest must be a JSON object")
+        raise ValueError("manifest must be a JSON object")
     command, cfg = manifest.get("command"), manifest.get("config")
     if not isinstance(command, str) or command not in _REPLAY:
-        parser.error(f"manifest has unknown command {command!r}")
+        raise ValueError(f"manifest has unknown command {command!r}")
     keys, execute = _REPLAY[command]
     if not isinstance(cfg, dict):
-        parser.error("manifest config must be a JSON object")
+        raise ValueError("manifest config must be a JSON object")
     missing = [key for key in keys if key not in cfg]
     if missing:
-        parser.error(f"manifest config lacks {', '.join(missing)}")
+        raise ValueError(f"manifest config lacks {', '.join(missing)}")
     # Outputs are byte-identical only within one version.
     if manifest.get("version") != __version__:
-        parser.error(
+        raise ValueError(
             f"manifest is from boxloss {manifest.get('version')!r}, this is {__version__}"
         )
     try:
         execute(cfg)
-    except ValueError as exc:
-        parser.error(str(exc))
     except TypeError as exc:
-        parser.error(f"manifest config has a value of the wrong type: {exc}")
+        raise ValueError(f"manifest config has a value of the wrong type: {exc}")
     recorded = {key: manifest.get(key) for key in _ENVIRONMENT}
     if recorded != _ENVIRONMENT:
         print(
@@ -477,19 +458,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """The CLI's one error boundary: every failure maps to its exit code here."""
     args = _build_parser().parse_args(argv)
     try:
-        # Each subcommand reports its errors with its own parser's usage line.
-        return args.run(args, args.parser)
+        return args.run(args)
     except InfeasibleDatasetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    except _UnreadableManifest as exc:
         print(f"error: invalid manifest: {exc}", file=sys.stderr)
         return 1
+    # Bad input exits 2 with the subcommand's usage line: a count too large to
+    # allocate, and a config file that is not UTF-8 (a ValueError) too.
+    except MemoryError as exc:
+        args.parser.error(f"out of memory: {exc}")
+    except ValueError as exc:
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -13,12 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
 
-from .boxes import _IEEE, Box, BoxBatch, _check_integers, iou, iou_array
+from .boxes import _IEEE, Box, BoxBatch, _check_counts, _check_numbers, iou, iou_array
 from .gradients import _PAIR_GRAD
 from .losses import _LOSSES, HuberParams, LossKind, _blend_weight, _mean
 
@@ -95,13 +95,14 @@ class FitConfig:
         object.__setattr__(self, "regime", OverlapRegime(self.regime))
         object.__setattr__(self, "loss_kind", LossKind(self.loss_kind))
         object.__setattr__(self, "optimizer", OptimizerKind(self.optimizer))
-        _check_integers(
-            num_pairs=self.num_pairs, steps=self.steps, seed=self.seed, batch_size=self.batch_size
+        # batch_size's range, [1, num_pairs], is checked below.
+        _check_counts(
+            num_pairs=(self.num_pairs, 1),
+            steps=(self.steps, 1),
+            seed=(self.seed, 0),
+            batch_size=(self.batch_size, -math.inf),
         )
-        if self.num_pairs < 1:
-            raise ValueError(f"num_pairs must be >= 1, got {self.num_pairs}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_numbers(**{f.name: getattr(self, f.name) for f in fields(self) if f.type == "float"})
         if not 0 < self.target_size_min <= self.target_size_max:
             raise ValueError(
                 f"target size range must satisfy 0 < min <= max, got "
@@ -136,8 +137,6 @@ class FitConfig:
             raise ValueError(
                 f"momentum_or_decay must lie in [0, 1), got {self.momentum_or_decay}"
             )
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
         if not 1 <= self.batch_size <= self.num_pairs:
             raise ValueError(
                 f"batch_size must lie in [1, num_pairs={self.num_pairs}], "
@@ -400,9 +399,7 @@ def compare_losses(
     mean IoU (a single seed reports stddev 0) and the number of diverged
     runs. A kind listed twice raises ValueError.
     """
-    _check_integers(num_seeds=num_seeds)
-    if num_seeds < 1:
-        raise ValueError(f"num_seeds must be >= 1, got {num_seeds}")
+    _check_counts(num_seeds=(num_seeds, 1))
     if len(kinds) == 0:
         raise ValueError("kinds must be non-empty")
     kinds = [LossKind(kind) for kind in kinds]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import _IEEE, Box, BoxBatch, _check_integers, _corner_row, _signed_overlap
+from .boxes import _IEEE, Box, BoxBatch, _check_counts, _corner_row, _signed_overlap
 from .boxes import iou_array, overlap_array
 # Unused here; bench/worker.py's traced run replaces iou on this module by name.
 from .boxes import iou  # noqa: F401
@@ -166,11 +166,7 @@ class GradCheckConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_integers(num_samples=self.num_samples, seed=self.seed)
-        if self.num_samples < 1:
-            raise ValueError(f"num_samples must be >= 1, got {self.num_samples}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_counts(num_samples=(self.num_samples, 1), seed=(self.seed, 0))
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}, expected one of {REGIMES}")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .boxes import _IEEE, Box, _check_integers, iou_array
+from .boxes import _IEEE, Box, _check_counts, _check_numbers, iou_array
 # Unused here; bench/worker.py's traced run replaces iou on this module by name.
 from .boxes import iou  # noqa: F401
 from .losses import _LOSSES, HuberParams, LossKind
@@ -49,11 +49,8 @@ class SweepConfig:
             raise ValueError("pred_width and pred_height must be positive")
         if self.x_center_end <= self.x_center_start:
             raise ValueError("x_center_end must exceed x_center_start")
-        if self.num_samples < 2:
-            raise ValueError(f"num_samples must be >= 2, got {self.num_samples}")
-        # After the range check, so a non-number still fails it with the
-        # TypeError that rerun reports as a value of the wrong type.
-        _check_integers(num_samples=self.num_samples)
+        _check_counts(num_samples=(self.num_samples, 2))
+        _check_numbers(**{f.name: getattr(self, f.name) for f in fields(self) if f.type == "float"})
         HuberParams(self.delta)
 
 
@@ -94,6 +91,7 @@ def sweep_mismatch(config: SweepConfig = SweepConfig(), scale: float = 1.0) -> l
     target at perfect center alignment has IoU equal to scale**2, so the IoU
     column tops out below 1 for any scale != 1.
     """
+    _check_numbers(scale=scale)
     if scale <= 0 or not math.isfinite(scale):
         raise ValueError(f"scale must be finite and positive, got {scale}")
     pred_w = scale * config.pred_width

@@ -2,16 +2,21 @@
 manifest replay. Everything runs in process through main(argv)."""
 
 import argparse
+import contextlib
 import inspect
+import io
 import json
 import math
 import platform
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from boxloss import gradients
+from boxloss import fitting, gradients
 from boxloss import (
     FitConfig,
     SweepConfig,
@@ -462,6 +467,21 @@ class TestFitCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # A real allocation this large fails at once on most machines, but an
+        # overcommitting one kills the process instead, so the draw is faked.
+        text = "Unable to allocate 2.91 TiB for an array with shape (100000000000, 4)"
+
+        def out_of_memory(config):
+            raise MemoryError(text)
+
+        monkeypatch.setattr(fitting, "_draw_pairs", out_of_memory)
+        out = tmp_path / "run"
+        argv = ["fit", "--out", str(out), "--num-pairs", "100000000000", "--batch-size", "1"]
+        message = _exit_2_message(capsys, [*argv, "--steps", "1"])
+        assert message == f"boxloss fit: error: out of memory: {text}"
+        assert not out.exists()
+
     def test_compare_defaults_to_compare_losses_seed_count(self, tmp_path):
         outdir = self._run(tmp_path, "--compare", "huber")
         default = inspect.signature(compare_losses).parameters["num_seeds"].default
@@ -597,6 +617,17 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--out", str(tmp_path / "o"), "--config", str(config)])
         assert exc.value.code == 2
+
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "fit.cfg"
+        config.write_bytes(b"steps = \xff\n")
+        message = _exit_2_message(
+            capsys, ["fit", "--out", str(tmp_path / "o"), "--config", str(config)]
+        )
+        assert message == (
+            "boxloss fit: error: 'utf-8' codec can't decode byte 0xff in position 8: "
+            "invalid start byte"
+        )
 
     def test_missing_file_exits_1(self, tmp_path):
         code = main(
@@ -738,6 +769,26 @@ class TestRerun:
         message = _replay_edited(capsys, self._fit(tmp_path), **{key: True})
         assert message == f"boxloss rerun: error: {key} must be an integer, got True"
 
+    @pytest.mark.parametrize(
+        ("command", "config", "message"),
+        [
+            ("fit", {"learning_rate": True}, "learning_rate must be a number, got True"),
+            ("fit", {"scale_sigma": False}, "scale_sigma must be a number, got False"),
+            ("profile", {"delta": True}, "delta must be a number, got True"),
+            ("profile", {"mismatch_scale": True}, "scale must be a number, got True"),
+            ("profile", {"deltas": [True]}, "delta must be a number, got True"),
+        ],
+        ids=["learning_rate", "scale_sigma", "delta", "mismatch_scale", "deltas"],
+    )
+    def test_bool_float_setting_exits_2(self, tmp_path, capsys, command, config, message):
+        if command == "fit":
+            manifest_path = self._fit(tmp_path)
+        else:
+            assert main(["profile", "--out", str(tmp_path / "p.csv"), "--samples", "21"]) == 0
+            manifest_path = tmp_path / "p.manifest.json"
+        assert _replay_edited(capsys, manifest_path, **config) == f"boxloss rerun: error: {message}"
+        assert not (tmp_path / "p_delta1.0.csv").exists()
+
     def test_manifest_of_format_0_1_exits_2(self, tmp_path, capsys):
         manifest_path = self._fit(tmp_path)
         manifest = json.loads(manifest_path.read_text())
@@ -778,6 +829,22 @@ class TestRerun:
         bad.write_text("{not json")
         assert main(["rerun", str(bad)]) == 1
 
+    @pytest.mark.parametrize(
+        ("content", "reason"),
+        [
+            (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+            (b"[" * 100_000, "maximum recursion depth exceeded"),
+        ],
+        ids=["not_utf8", "nested_too_deep"],
+    )
+    def test_unreadable_manifest_exits_1(self, tmp_path, capsys, content, reason):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["rerun", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid manifest: {reason}")
+        assert err.count("\n") == 1
+
     def test_unknown_command_exits_2(self, tmp_path):
         weird = tmp_path / "weird.json"
         weird.write_text(json.dumps({"command": "paint", "config": {}}))
@@ -806,7 +873,34 @@ class TestRerun:
                     },
                     "version": __version__,
                 },
-                "wrong type",
+                "num_samples must be an integer, got '11'",
+            ),
+            (
+                {
+                    "command": "fit",
+                    "config": {
+                        "batch_size": 4,
+                        "compare": None,
+                        "delta": 1.0,
+                        "frame": [0.0, 0.0, 100.0],
+                        "learning_rate": 0.05,
+                        "loss": "smooth_iou",
+                        "momentum_or_decay": 0.9,
+                        "num_pairs": 4,
+                        "num_seeds": 1,
+                        "optimizer": "rmsprop_like",
+                        "out": "p.csv",
+                        "regime": "mixed",
+                        "scale_sigma": 0.1,
+                        "seed": 0,
+                        "steps": 2,
+                        "target_size_max": 20.0,
+                        "target_size_min": 5.0,
+                        "translation_sigma": 0.3,
+                    },
+                    "version": __version__,
+                },
+                "manifest config has a value of the wrong type: ",
             ),
             (
                 {
@@ -990,6 +1084,7 @@ class TestRerun:
             "not_an_object",
             "null_config",
             "missing_keys",
+            "string_samples",
             "wrong_type",
             "wrong_version",
             "out_not_a_string",
@@ -1012,6 +1107,84 @@ class TestRerun:
         assert message in err
         assert "Traceback" not in err
         assert not (tmp_path / "p.csv").exists()
+
+
+# Small valid replayable configs, one key of which the fuzz below edits.
+_FUZZ_CONFIGS = {
+    "fit": {
+        "batch_size": 4,
+        "compare": ["huber", "smooth_iou"],
+        "delta": 1.0,
+        "frame": [0.0, 0.0, 100.0, 100.0],
+        "learning_rate": 0.05,
+        "loss": "smooth_iou",
+        "momentum_or_decay": 0.9,
+        "num_pairs": 4,
+        "num_seeds": 2,
+        "optimizer": "rmsprop_like",
+        "out": "run",
+        "regime": "mixed",
+        "scale_sigma": 0.1,
+        "seed": 0,
+        "steps": 3,
+        "target_size_max": 20.0,
+        "target_size_min": 5.0,
+        "translation_sigma": 0.3,
+    },
+    "profile": {"out": "p.csv", "delta": 1.0, "mismatch_scale": 1.0, "samples": 21, "deltas": None},
+}
+_FUZZ_POOL = [
+    None, True, False, "3", "11", "x", "", [], [True], [1.0, 1.0], {}, 0, 1, -1, 2, -2,
+    2**70, -(2**70), 0.5, 1e308, -1e308, math.nan, math.inf, -math.inf, -0.0, 1e-320,
+    [0.0, 0.0, 1e308, 1e308], [0.0, 0.0, 100.0], [100.0, 100.0, 0.0, 0.0], ["nope"],
+]
+# Counts above 64 are left out: a count of 2**70 runs without end, and no
+# ceiling on counts is set yet.
+_COUNT_KEYS = ("batch_size", "num_pairs", "num_seeds", "samples", "seed", "steps")
+_FUZZ_EDITS = [
+    (command, key, value)
+    for command, config in _FUZZ_CONFIGS.items()
+    for key in config
+    for value in _FUZZ_POOL
+    if not (key in _COUNT_KEYS and type(value) is int and value > 64)
+]
+
+
+class TestExitCodeContract:
+    @given(edit=st.sampled_from(_FUZZ_EDITS))
+    @example(edit=("fit", "frame", [0.0, 0.0, 1e308, 1e308]))
+    @example(edit=("fit", "num_pairs", True))
+    @example(edit=("profile", "samples", "11"))
+    @example(edit=("fit", "scale_sigma", 1e308))
+    @example(edit=("fit", "learning_rate", True))
+    @settings(max_examples=300, deadline=None)
+    def test_edited_manifest_exits_with_one_line(self, edit):
+        """Any one edited config value replays to a documented exit code, with
+        at most one line after the usage line and no traceback."""
+        command, key, value = edit
+        manifest = {
+            "command": command,
+            "config": {**_FUZZ_CONFIGS[command], key: value},
+            "seed": 0,
+            "version": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "outputs": [],
+        }
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as workdir, contextlib.chdir(workdir):
+            Path("manifest.json").write_text(json.dumps(manifest))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(["rerun", "manifest.json"])
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in {0, 1, 2, 3, 4}
+        lines = err.getvalue().splitlines()
+        assert "Traceback" not in err.getvalue()
+        if lines and lines[0].startswith("usage:"):
+            lines = lines[1:]
+        assert len(lines) <= 1
 
 
 class TestDeterminism:
