@@ -48,7 +48,7 @@ def _check_counts(**counts: tuple[object, float]) -> None:
 
 def _check_numbers(**values) -> None:
     """Float settings refuse a bool, which would count as 0.0 or 1.0. Other
-    non-numbers fail the settings' own range checks with a TypeError."""
+    non-numbers fail later, with a TypeError."""
     for name, value in values.items():
         if isinstance(value, bool):
             raise ValueError(f"{name} must be a number, got {value!r}")

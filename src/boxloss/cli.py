@@ -471,8 +471,8 @@ def main(argv=None) -> int:
     except _UnreadableManifest as exc:
         print(f"error: invalid manifest: {exc}", file=sys.stderr)
         return 1
-    # Bad input exits 2 with the subcommand's usage line: a count too large to
-    # allocate, and a config file that is not UTF-8 (a ValueError) too.
+    # Bad input exits 2 under the subcommand's usage line, as do a count too
+    # large to allocate and a config file that is not UTF-8 (a ValueError).
     except MemoryError as exc:
         args.parser.error(f"out of memory: {exc}")
     except ValueError as exc:

@@ -468,8 +468,9 @@ class TestFitCommand:
         assert not out.exists()
 
     def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
-        # A real allocation this large fails at once on most machines, but an
-        # overcommitting one kills the process instead, so the draw is faked.
+        # numpy refuses an allocation this large at once, unless the machine
+        # always overcommits memory: then filling it gets the process killed.
+        # So the draw's failure is faked.
         text = "Unable to allocate 2.91 TiB for an array with shape (100000000000, 4)"
 
         def out_of_memory(config):

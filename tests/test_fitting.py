@@ -527,6 +527,24 @@ class TestFitConfigValidation:
             FitConfig(**{name: value})
         assert FitConfig(**{"batch_size": 1, name: np.int64(3)})
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "target_size_min",
+            "target_size_max",
+            "translation_sigma",
+            "scale_sigma",
+            "delta",
+            "learning_rate",
+            "momentum_or_decay",
+        ],
+    )
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_bool_floats(self, name, value):
+        # True would pass as 1.0: a learning rate of 1 or a size jitter of 1.
+        with pytest.raises(ValueError, match=rf"^{name} must be a number, got {value}$"):
+            FitConfig(**{name: value})
+
     def test_rejects_unknown_enum_values(self):
         with pytest.raises(ValueError):
             FitConfig(regime="sideways")

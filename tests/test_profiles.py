@@ -331,6 +331,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="num_samples must be an integer, got 2.5"):
             SweepConfig(num_samples=2.5)
 
+    def test_rejects_bool_delta_and_scale(self):
+        # True would pass as 1.0, the default delta and scale.
+        with pytest.raises(ValueError, match=r"^delta must be a number, got True$"):
+            SweepConfig(delta=True)
+        with pytest.raises(ValueError, match=r"^scale must be a number, got True$"):
+            sweep_mismatch(SweepConfig(), True)
+
     def test_rejects_reversed_range(self):
         with pytest.raises(ValueError):
             SweepConfig(x_center_start=10.0, x_center_end=10.0)
