@@ -47,10 +47,10 @@ def _check_counts(**counts: tuple[object, float]) -> None:
 
 
 def _check_numbers(**values) -> None:
-    """Float settings refuse a bool, which would count as 0.0 or 1.0. Other
-    non-numbers fail later, with a TypeError."""
+    """The one check of float settings: each value must be a real number,
+    not a bool, which would count as 0.0 or 1.0."""
     for name, value in values.items():
-        if isinstance(value, bool):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{name} must be a number, got {value!r}")
 
 

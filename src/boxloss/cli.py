@@ -1,9 +1,10 @@
 """Command line tool: loss profiles, gradient checks, and fitting runs.
 
 Exit codes: 0 success, 1 I/O failure or a manifest that is not UTF-8 JSON,
-2 invalid flags or config (a bool for a count or a float setting, or a count
-too large to allocate), 3 gradient check over tolerance, 4 infeasible
-dataset generation. `main` alone maps failures to these codes.
+2 invalid flags or config (a value of the wrong type or count, an unknown
+manifest key, an empty out, or a count too large to allocate), 3 gradient
+check over tolerance, 4 infeasible dataset generation. `main` alone maps
+failures to these codes; each setting is checked where it is used.
 
 Every file-producing command also writes a manifest recording the command,
 the fully resolved configuration, the seed, the tool, Python and numpy
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .boxes import Box
+from .boxes import Box, _check_numbers
 from .fitting import FitConfig, InfeasibleDatasetError, compare_losses
 from .gradients import REGIMES, GradCheckConfig, _check_kinds, finite_diff_check
 from .losses import LossKind
@@ -121,24 +122,53 @@ def _resolve_seed(flag_value, file_value, default: int) -> int:
         raise ValueError(f"{_ENV_SEED} must be an integer")
 
 
+def _items(name: str, value, kind: type, length: int | None = None, text: bool = False) -> list:
+    """The one check of a list setting: `length` items if given, else one or
+    more, each a `kind` (float or LossKind). Text from a flag or a config
+    file is split on commas, skipping blank parts; a manifest's value must
+    be a JSON list, whose numbers refuse a bool or a string. The message
+    names the setting and quotes the value as given."""
+    parts = [part.strip() for part in value.split(",") if part.strip()] if text else value
+    try:
+        if not isinstance(parts, list) or not parts or len(parts) != (length or len(parts)):
+            raise ValueError
+        if kind is float and not text:
+            for part in parts:
+                _check_numbers(item=part)
+        return [kind(part) for part in parts]
+    except (TypeError, ValueError):
+        noun = "numbers" if kind is float else "loss kinds"
+        form = "separated by commas" if text else "in a JSON list"
+        raise ValueError(
+            f"{name} expects {length or 'one or more'} {noun} {form}, got {value!r}"
+        ) from None
+
+
+def _out(cfg: dict) -> str:
+    """The output path: a non-empty string, so that no run writes hidden files
+    or into the working directory itself."""
+    out = cfg["out"]
+    if not isinstance(out, str) or not out:
+        raise ValueError(f"out must be a non-empty string, got {out!r}")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # profile
 
 
 def _execute_profile(cfg: dict) -> list[str]:
     config = SweepConfig(delta=cfg["delta"], num_samples=cfg["samples"])
-    out = cfg["out"]
-    if not isinstance(out, str):
-        raise TypeError(f"out must be a string, got {out!r}")
+    out = _out(cfg)
     stem = out[:-4] if out.endswith(".csv") else out
-    deltas = cfg["deltas"]
-    if deltas:
+    if cfg["deltas"] is None:
+        runs = [(config, f"{stem}.csv")]
+    else:
+        deltas = _items("deltas", cfg["deltas"], float)
         for i, d in enumerate(deltas):
             if d in deltas[:i]:
                 raise ValueError(f"delta {_fmt(d)} is repeated in deltas")
         runs = [(replace(config, delta=d), f"{stem}_delta{_fmt(d)}.csv") for d in deltas]
-    else:
-        runs = [(config, f"{stem}.csv")]
     for run_config, path in runs:
         _write_lines(path, _sweep_lines(sweep_mismatch(run_config, cfg["mismatch_scale"])))
     outputs = [path for _, path in runs]
@@ -147,14 +177,7 @@ def _execute_profile(cfg: dict) -> list[str]:
 
 
 def _cmd_profile(args) -> int:
-    deltas = None
-    if args.deltas is not None:
-        try:
-            deltas = [float(part) for part in args.deltas.split(",") if part.strip()]
-        except ValueError:
-            raise ValueError(f"--deltas expects a comma-separated float list, got {args.deltas!r}")
-        if not deltas:
-            raise ValueError("--deltas expects at least one value")
+    deltas = None if args.deltas is None else _items("--deltas", args.deltas, float, text=True)
     cfg = {
         "out": args.out,
         "delta": args.delta,
@@ -193,28 +216,15 @@ def _cmd_gradcheck(args) -> int:
 # fit
 
 
-def _plain(value):
-    """A FitConfig value as config dicts and manifests hold it."""
-    if isinstance(value, Box):
-        return list(value.corners())
-    if isinstance(value, Enum):
-        return value.value
-    return value
-
-
-def _fit_config_from_dict(cfg: dict) -> FitConfig:
-    # Enum fields stay strings here; FitConfig converts and validates them.
-    values = {f.name: cfg[key] for key, f in _FIT_FIELDS.items()}
-    values["frame"] = Box(*values["frame"])
-    return FitConfig(**values)
-
-
 def _execute_fit(cfg: dict) -> list[str]:
-    config = _fit_config_from_dict(cfg)
-    kinds = [LossKind(k) for k in (cfg["compare"] or [cfg["loss"]])]
+    outdir = Path(_out(cfg))
+    # FitConfig converts and validates the other fields.
+    values = {f.name: cfg[key] for key, f in _FIT_FIELDS.items()}
+    config = FitConfig(**{**values, "frame": Box(*_items("frame", cfg["frame"], float, 4))})
+    compare = cfg["compare"]
+    kinds = [cfg["loss"]] if compare is None else _items("compare", compare, LossKind)
     result = compare_losses(config, kinds, cfg["num_seeds"])
 
-    outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
     diverged: list[str] = []
@@ -251,15 +261,6 @@ def _execute_fit(cfg: dict) -> list[str]:
     return outputs
 
 
-def _parse_value(hint: type, text: str):
-    """A FitConfig value of type `hint` from text, as config dicts hold it."""
-    if hint is Box:
-        return [float(part) for part in text.split(",")]
-    if issubclass(hint, Enum):
-        return text
-    return hint(text)
-
-
 def _read_config_file(path: str) -> dict:
     """Flat `key = value` lines; '#' starts a comment.
 
@@ -277,46 +278,40 @@ def _read_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected `key = value`")
             if key not in _FIT_FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            hint = _FIT_TYPES[_FIT_FIELDS[key].name]
             try:
-                values[key] = _parse_value(_FIT_TYPES[_FIT_FIELDS[key].name], value)
+                values[key] = (
+                    _items(key, value, float, 4, text=True) if hint is Box else hint(value)
+                )
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
 def _cmd_fit(args) -> int:
-    cfg = {key: _plain(f.default) for key, f in _FIT_FIELDS.items()}
+    # Enum members are strs, so manifests hold them as their values.
+    cfg = {key: f.default for key, f in _FIT_FIELDS.items()}
+    cfg["frame"] = list(FitConfig.frame.corners())
     file_values = {} if args.config is None else _read_config_file(args.config)
     cfg.update(file_values)
 
     flags = vars(args)
     cfg.update({key: flags[key] for key in _FIT_FLAGS if flags[key] is not None})
     if args.frame is not None:
-        try:
-            cfg["frame"] = _parse_value(Box, args.frame)
-        except ValueError:
-            raise ValueError(f"--frame expects xmin,ymin,xmax,ymax, got {args.frame!r}")
+        cfg["frame"] = _items("--frame", args.frame, float, 4, text=True)
     if args.size_range is not None:
-        try:
-            lo, hi = (float(part) for part in args.size_range.split(","))
-        except ValueError:
-            raise ValueError(f"--size-range expects min,max, got {args.size_range!r}")
-        cfg["target_size_min"], cfg["target_size_max"] = lo, hi
-    if len(cfg["frame"]) != 4:
-        raise ValueError(f"frame needs exactly 4 coordinates, got {cfg['frame']!r}")
+        size_range = _items("--size-range", args.size_range, float, 2, text=True)
+        cfg["target_size_min"], cfg["target_size_max"] = size_range
 
     cfg["seed"] = _resolve_seed(args.seed, file_values.get("seed"), FitConfig.seed)
     # Unless the file or a flag sets it, the batch size is capped at num_pairs.
     if "batch_size" not in file_values and args.batch_size is None:
         cfg["batch_size"] = min(cfg["batch_size"], cfg["num_pairs"])
 
-    compare = None
+    cfg["compare"] = None
     if args.compare is not None:
-        compare = [part.strip() for part in args.compare.split(",") if part.strip()]
-        if not compare:
-            raise ValueError("--compare expects at least one loss kind")
-    cfg["compare"] = compare
-    default_seeds = _COMPARE_ARGS["num_seeds"].default if compare else 1
+        cfg["compare"] = _items("--compare", args.compare, LossKind, text=True)
+    default_seeds = 1 if cfg["compare"] is None else _COMPARE_ARGS["num_seeds"].default
     cfg["num_seeds"] = default_seeds if args.seeds is None else args.seeds
     cfg["out"] = args.out
     _execute_fit(cfg)
@@ -360,10 +355,10 @@ def _cmd_rerun(args) -> int:
         raise ValueError(
             f"manifest is from boxloss {manifest.get('version')!r}, this is {__version__}"
         )
-    try:
-        execute(cfg)
-    except TypeError as exc:
-        raise ValueError(f"manifest config has a value of the wrong type: {exc}")
+    unknown = [key for key in cfg if key not in keys]
+    if unknown:
+        raise ValueError(f"manifest config has unknown key {unknown[0]!r}")
+    execute(cfg)
     recorded = {key: manifest.get(key) for key in _ENVIRONMENT}
     if recorded != _ENVIRONMENT:
         print(

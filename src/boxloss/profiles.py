@@ -45,12 +45,12 @@ class SweepConfig:
     delta: float = 1.0
 
     def __post_init__(self) -> None:
+        _check_counts(num_samples=(self.num_samples, 2))
+        _check_numbers(**{f.name: getattr(self, f.name) for f in fields(self) if f.type == "float"})
         if self.pred_width <= 0 or self.pred_height <= 0:
             raise ValueError("pred_width and pred_height must be positive")
         if self.x_center_end <= self.x_center_start:
             raise ValueError("x_center_end must exceed x_center_start")
-        _check_counts(num_samples=(self.num_samples, 2))
-        _check_numbers(**{f.name: getattr(self, f.name) for f in fields(self) if f.type == "float"})
         HuberParams(self.delta)
 
 

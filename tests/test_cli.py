@@ -710,6 +710,51 @@ class TestSeedResolution:
         assert out_a == out_b
 
 
+# Each must exit 2 naming its key: blank or wrongly typed list settings.
+_BAD_DELTAS = [False, 0, "", {}, [], "smooth_iou", [1.0, "x"]]
+_BAD_COMPARES = [False, [], "huber"]
+
+# Small valid replayable configs, one key of which the malformed-manifest
+# rows and the fuzz below edit.
+_REPLAYABLE = {
+    "fit": {
+        "batch_size": 4,
+        "compare": ["huber", "smooth_iou"],
+        "delta": 1.0,
+        "frame": [0.0, 0.0, 100.0, 100.0],
+        "learning_rate": 0.05,
+        "loss": "smooth_iou",
+        "momentum_or_decay": 0.9,
+        "num_pairs": 4,
+        "num_seeds": 2,
+        "optimizer": "rmsprop_like",
+        "out": "run",
+        "regime": "mixed",
+        "scale_sigma": 0.1,
+        "seed": 0,
+        "steps": 3,
+        "target_size_max": 20.0,
+        "target_size_min": 5.0,
+        "translation_sigma": 0.3,
+    },
+    "profile": {"out": "p.csv", "delta": 1.0, "mismatch_scale": 1.0, "samples": 21, "deltas": None},
+}
+
+
+def _manifest(command: str, **config) -> dict:
+    """A manifest of this version and environment replaying a small valid
+    config with `config` set."""
+    return {
+        "command": command,
+        "config": {**_REPLAYABLE[command], **config},
+        "seed": 0,
+        "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "outputs": [],
+    }
+
+
 class TestRerun:
     def _snapshot(self, paths: list[str]) -> dict[str, bytes]:
         return {p: Path(p).read_bytes() for p in paths}
@@ -777,7 +822,11 @@ class TestRerun:
             ("fit", {"scale_sigma": False}, "scale_sigma must be a number, got False"),
             ("profile", {"delta": True}, "delta must be a number, got True"),
             ("profile", {"mismatch_scale": True}, "scale must be a number, got True"),
-            ("profile", {"deltas": [True]}, "delta must be a number, got True"),
+            (
+                "profile",
+                {"deltas": [True]},
+                "deltas expects one or more numbers in a JSON list, got [True]",
+            ),
         ],
         ids=["learning_rate", "scale_sigma", "delta", "mismatch_scale", "deltas"],
     )
@@ -901,7 +950,7 @@ class TestRerun:
                     },
                     "version": __version__,
                 },
-                "manifest config has a value of the wrong type: ",
+                "frame expects 4 numbers in a JSON list, got [0.0, 0.0, 100.0]",
             ),
             (
                 {
@@ -929,7 +978,7 @@ class TestRerun:
                     },
                     "version": __version__,
                 },
-                "out must be a string",
+                "out must be a non-empty string, got 5",
             ),
             (
                 {
@@ -1080,6 +1129,38 @@ class TestRerun:
                 },
                 "num_samples must be an integer, got 21.5",
             ),
+            *(
+                (
+                    _manifest("profile", deltas=deltas),
+                    f"deltas expects one or more numbers in a JSON list, got {deltas!r}",
+                )
+                for deltas in _BAD_DELTAS
+            ),
+            *(
+                (
+                    _manifest("fit", compare=compare),
+                    f"compare expects one or more loss kinds in a JSON list, got {compare!r}",
+                )
+                for compare in _BAD_COMPARES
+            ),
+            (_manifest("fit", out=""), "out must be a non-empty string, got ''"),
+            (_manifest("profile", out=""), "out must be a non-empty string, got ''"),
+            (
+                _manifest("fit", frame=[0, 0, 100]),
+                "frame expects 4 numbers in a JSON list, got [0, 0, 100]",
+            ),
+            (
+                _manifest("fit", frame="0,0,100,100"),
+                "frame expects 4 numbers in a JSON list, got '0,0,100,100'",
+            ),
+            (
+                _manifest("fit", learning_rate="0.1"),
+                "learning_rate must be a number, got '0.1'",
+            ),
+            (
+                _manifest("profile", extra_key=1),
+                "manifest config has unknown key 'extra_key'",
+            ),
         ],
         ids=[
             "not_an_object",
@@ -1095,10 +1176,18 @@ class TestRerun:
             "frame_edge_size",
             "zero_size_target",
             "fractional_samples",
+            *(f"deltas_{deltas!r}" for deltas in _BAD_DELTAS),
+            *(f"compare_{compare!r}" for compare in _BAD_COMPARES),
+            "empty_fit_out",
+            "empty_profile_out",
+            "three_corner_frame",
+            "frame_as_text",
+            "learning_rate_as_text",
+            "unknown_key",
         ],
     )
     def test_malformed_manifest_exits_2(self, tmp_path, capsys, monkeypatch, manifest, message):
-        monkeypatch.chdir(tmp_path)  # where a replay would write p.csv
+        monkeypatch.chdir(tmp_path)  # where a replay would write p.csv or run/
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest))
         with pytest.raises(SystemExit) as exc:
@@ -1107,48 +1196,91 @@ class TestRerun:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
-        assert not (tmp_path / "p.csv").exists()
+        assert len(err.splitlines()) == 2  # the usage line and the error
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
-# Small valid replayable configs, one key of which the fuzz below edits.
-_FUZZ_CONFIGS = {
-    "fit": {
-        "batch_size": 4,
-        "compare": ["huber", "smooth_iou"],
-        "delta": 1.0,
-        "frame": [0.0, 0.0, 100.0, 100.0],
-        "learning_rate": 0.05,
-        "loss": "smooth_iou",
-        "momentum_or_decay": 0.9,
-        "num_pairs": 4,
-        "num_seeds": 2,
-        "optimizer": "rmsprop_like",
-        "out": "run",
-        "regime": "mixed",
-        "scale_sigma": 0.1,
-        "seed": 0,
-        "steps": 3,
-        "target_size_max": 20.0,
-        "target_size_min": 5.0,
-        "translation_sigma": 0.3,
-    },
-    "profile": {"out": "p.csv", "delta": 1.0, "mismatch_scale": 1.0, "samples": 21, "deltas": None},
-}
 _FUZZ_POOL = [
     None, True, False, "3", "11", "x", "", [], [True], [1.0, 1.0], {}, 0, 1, -1, 2, -2,
     2**70, -(2**70), 0.5, 1e308, -1e308, math.nan, math.inf, -math.inf, -0.0, 1e-320,
     [0.0, 0.0, 1e308, 1e308], [0.0, 0.0, 100.0], [100.0, 100.0, 0.0, 0.0], ["nope"],
 ]
+# The same kinds of values as flags and config files give them: as text.
+_TEXT_POOL = [
+    "", " ", "x", "3", "11", "0", "1", "-1", "2", "-2", "0.5", "-0.0", "1e-320", "1e308",
+    "-1e308", "nan", "inf", "-inf", "True", "None", ",", "1.0,1.0", "0,0,100", "0,0,100,100",
+    "0,0,1e308,1e308", "100,100,0,0", "huber", "huber,x", "huber,huber", "overlapping",
+    "plain_gd", str(2**70), str(-(2**70)),
+]
 # Counts above 64 are left out: a count of 2**70 runs without end, and no
 # ceiling on counts is set yet.
 _COUNT_KEYS = ("batch_size", "num_pairs", "num_seeds", "samples", "seed", "steps")
+_COUNT_FLAGS = ("--batch-size", "--num-pairs", "--seeds", "--samples", "--seed", "--steps")
 _FUZZ_EDITS = [
     (command, key, value)
-    for command, config in _FUZZ_CONFIGS.items()
+    for command, config in _REPLAYABLE.items()
     for key in config
     for value in _FUZZ_POOL
     if not (key in _COUNT_KEYS and type(value) is int and value > 64)
 ]
+_CONFIG_KEYS = [key for key in _REPLAYABLE["fit"] if key not in ("compare", "num_seeds", "out")]
+_CONFIG_EDITS = [
+    (key, value)
+    for key in _CONFIG_KEYS
+    for value in _TEXT_POOL
+    if not (key in _COUNT_KEYS and value == str(2**70))
+]
+# Small valid runs of each command; an edited flag, given last, wins.
+_FLAG_RUNS = {
+    "fit": [
+        "fit", "--out", "run", "--num-pairs", "4", "--batch-size", "4", "--steps", "3",
+        "--seed", "0", "--compare", "huber,smooth_iou", "--seeds", "2",
+    ],
+    "profile": ["profile", "--out", "p.csv", "--samples", "21"],
+}
+_FLAGS = {
+    "fit": ["--out", "--compare", "--seeds", *(flag for flag, _, _ in _FIT_FLAG_CASES)],
+    "profile": ["--out", "--delta", "--mismatch-scale", "--samples", "--deltas"],
+}
+_FLAG_EDITS = [
+    (command, flag, value)
+    for command, flags in _FLAGS.items()
+    for flag in flags
+    for value in _TEXT_POOL
+    if not (flag in _COUNT_FLAGS and value == str(2**70))
+]
+
+
+def _check_exit_code_contract(argv: list[str], files: dict[str, str]) -> None:
+    """Run argv in a fresh working directory holding `files`. It must exit
+    with a documented code, print at most one line after the usage line and
+    no traceback, and on exit 0 write a manifest whose outputs all lie in
+    that directory, with no name there starting with '.'."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as workdir, contextlib.chdir(workdir):
+        for name, text in files.items():
+            Path(name).write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        root = Path(workdir).resolve()
+        written = [path for path in root.rglob("*") if path.name not in files]
+        if code == 0:
+            manifests = [path for path in written if path.name.endswith("manifest.json")]
+            assert manifests
+            for manifest in manifests:
+                for output in json.loads(manifest.read_text())["outputs"]:
+                    assert Path(output).resolve().is_relative_to(root)
+            assert not [path for path in written if path.name.startswith(".")]
+    assert code in {0, 1, 2, 3, 4}
+    assert "Traceback" not in err.getvalue()
+    lines = err.getvalue().splitlines()
+    if lines and lines[0].startswith("usage:"):
+        # fit's usage wraps onto indented lines.
+        lines = [line for line in lines[1:] if not line.startswith(" ")]
+    assert len(lines) <= 1
 
 
 class TestExitCodeContract:
@@ -1158,34 +1290,34 @@ class TestExitCodeContract:
     @example(edit=("profile", "samples", "11"))
     @example(edit=("fit", "scale_sigma", 1e308))
     @example(edit=("fit", "learning_rate", True))
+    @example(edit=("profile", "out", ""))
+    @example(edit=("profile", "deltas", "x"))
     @settings(max_examples=300, deadline=None)
     def test_edited_manifest_exits_with_one_line(self, edit):
         """Any one edited config value replays to a documented exit code, with
         at most one line after the usage line and no traceback."""
         command, key, value = edit
-        manifest = {
-            "command": command,
-            "config": {**_FUZZ_CONFIGS[command], key: value},
-            "seed": 0,
-            "version": __version__,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "outputs": [],
-        }
-        err = io.StringIO()
-        with tempfile.TemporaryDirectory() as workdir, contextlib.chdir(workdir):
-            Path("manifest.json").write_text(json.dumps(manifest))
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                try:
-                    code = main(["rerun", "manifest.json"])
-                except SystemExit as exc:
-                    code = exc.code
-        assert code in {0, 1, 2, 3, 4}
-        lines = err.getvalue().splitlines()
-        assert "Traceback" not in err.getvalue()
-        if lines and lines[0].startswith("usage:"):
-            lines = lines[1:]
-        assert len(lines) <= 1
+        manifest = json.dumps(_manifest(command, **{key: value}))
+        _check_exit_code_contract(["rerun", "replay.json"], {"replay.json": manifest})
+
+    @given(edit=st.sampled_from(_CONFIG_EDITS))
+    @example(edit=("frame", "0,0,100"))
+    @example(edit=("regime", "x"))
+    @settings(max_examples=150, deadline=None)
+    def test_edited_config_file_exits_with_one_line(self, edit):
+        key, value = edit
+        lines = f"num_pairs = 4\nbatch_size = 4\nsteps = 3\nseed = 0\n{key} = {value}\n"
+        argv = ["fit", "--out", "run", "--config", "fit.cfg", "--compare", "huber", "--seeds", "2"]
+        _check_exit_code_contract(argv, {"fit.cfg": lines})
+
+    @given(edit=st.sampled_from(_FLAG_EDITS))
+    @example(edit=("fit", "--out", ""))
+    @example(edit=("profile", "--out", ""))
+    @example(edit=("fit", "--compare", ","))
+    @settings(max_examples=150, deadline=None)
+    def test_edited_flag_exits_with_one_line(self, edit):
+        command, flag, value = edit
+        _check_exit_code_contract([*_FLAG_RUNS[command], f"{flag}={value}"], {})
 
 
 class TestDeterminism:

@@ -539,10 +539,11 @@ class TestFitConfigValidation:
             "momentum_or_decay",
         ],
     )
-    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("value", [True, False, "0.1", None])
     def test_rejects_bool_floats(self, name, value):
         # True would pass as 1.0: a learning rate of 1 or a size jitter of 1.
-        with pytest.raises(ValueError, match=rf"^{name} must be a number, got {value}$"):
+        # A string or None is refused before any comparison meets it.
+        with pytest.raises(ValueError, match=rf"^{name} must be a number, got {value!r}$"):
             FitConfig(**{name: value})
 
     def test_rejects_unknown_enum_values(self):

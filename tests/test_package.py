@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import boxloss
-from boxloss import boxes, fitting, gradients, losses, profiles
+from boxloss import boxes, cli, fitting, gradients, losses, profiles
 from boxloss.cli import main
 
 PUBLIC_NAMES = {
@@ -86,6 +86,28 @@ def test_package_exports_exactly_the_modules_public_names():
         if not name.startswith("_") and not isinstance(getattr(boxloss, name), types.ModuleType)
     }
     assert public_attrs == declared
+
+
+# The names bench/worker.py reads on each module: its Api calls them, and its
+# traced run replaces them there by name. Some are imports a module does not
+# use itself; dropping one breaks `bench/run.py --trace 1`.
+_BENCH_NAMES = {
+    cli: ("main", "compare_losses", "finite_diff_check", "sweep_mismatch"),
+    fitting: ("fit", "generate_dataset", "loss_batch", "grad_huber", "grad_iou_loss", "iou"),
+    gradients: ("grad_huber", "grad_iou_loss", "iou"),
+    losses: ("iou",),
+    profiles: ("iou", "sweep", "convexity_violations"),
+}
+
+
+def test_names_the_benchmark_reads_resolve():
+    missing = [
+        f"{module.__name__}.{name}"
+        for module, names in _BENCH_NAMES.items()
+        for name in names
+        if not callable(getattr(module, name, None))
+    ]
+    assert missing == []
 
 
 def test_version_flag_prints_package_version(capsys):

@@ -341,6 +341,9 @@ class TestConfigValidation:
     def test_rejects_reversed_range(self):
         with pytest.raises(ValueError):
             SweepConfig(x_center_start=10.0, x_center_end=10.0)
+        # Checked as a number before it is compared.
+        with pytest.raises(ValueError, match=r"^x_center_end must be a number, got None$"):
+            SweepConfig(x_center_end=None)
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
@@ -351,6 +354,8 @@ class TestConfigValidation:
     def test_rejects_degenerate_slider(self):
         with pytest.raises(ValueError):
             SweepConfig(pred_width=0.0)
+        with pytest.raises(ValueError, match=r"^pred_width must be a number, got '20'$"):
+            SweepConfig(pred_width="20")
 
     def test_rows_are_plain_records(self):
         row = ROWS[0]
