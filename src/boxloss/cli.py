@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 I/O failure or a manifest that is not UTF-8 JSON,
 2 invalid flags or config (a value of the wrong type or count, an unknown
 manifest key, an empty out, or a count too large to allocate), 3 gradient
 check over tolerance, 4 infeasible dataset generation. `main` alone maps
-failures to these codes; each setting is checked where it is used.
+failures to these codes.
 
 Every file-producing command also writes a manifest recording the command,
 the fully resolved configuration, the seed, the tool, Python and numpy
@@ -145,8 +145,8 @@ def _items(name: str, value, kind: type, length: int | None = None, text: bool =
 
 
 def _out(cfg: dict) -> str:
-    """The output path: a non-empty string, so that no run writes hidden files
-    or into the working directory itself."""
+    """A non-empty output path: an empty one would write a fit run into the
+    working directory itself, and a profile as .csv and .manifest.json."""
     out = cfg["out"]
     if not isinstance(out, str) or not out:
         raise ValueError(f"out must be a non-empty string, got {out!r}")
