@@ -48,10 +48,15 @@ def _check_counts(**counts: tuple[object, float]) -> None:
 
 def _check_numbers(**values) -> None:
     """The one check of float settings: each value must be a real number,
-    not a bool, which would count as 0.0 or 1.0."""
+    not a bool, which would count as 0.0 or 1.0, and one that float() can
+    convert, unlike an integer past the largest float."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{name} must be a number, got {value!r}")
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{name} is too large for a float") from None
 
 
 @dataclass(frozen=True)

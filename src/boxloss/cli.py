@@ -1,8 +1,9 @@
 """Command line tool: loss profiles, gradient checks, and fitting runs.
 
 Exit codes: 0 success, 1 I/O failure or a manifest that is not UTF-8 JSON,
-2 invalid flags or config (a value of the wrong type or count, an unknown
-manifest key, an empty out, or a count too large to allocate), 3 gradient
+2 invalid flags or config (a value of the wrong type or count, an integer
+too large for a float, an unknown manifest key, an empty out or a profile
+out that names no file, or a count too large to allocate), 3 gradient
 check over tolerance, 4 infeasible dataset generation. `main` alone maps
 failures to these codes.
 
@@ -161,6 +162,9 @@ def _execute_profile(cfg: dict) -> list[str]:
     config = SweepConfig(delta=cfg["delta"], num_samples=cfg["samples"])
     out = _out(cfg)
     stem = out[:-4] if out.endswith(".csv") else out
+    # An out such as ".csv" or "dir/" would write hidden files: .csv and .manifest.json.
+    if not os.path.basename(stem):
+        raise ValueError(f"out must name a file, got {out!r}")
     if cfg["deltas"] is None:
         runs = [(config, f"{stem}.csv")]
     else:

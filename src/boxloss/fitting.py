@@ -318,8 +318,9 @@ def fit(config: FitConfig) -> FitResult:
     record them; every mean is summed left to right. A step's blend weight
     lam is its minibatch's mean IoU, read from the IoUs of the state the
     step starts from. If a coordinate or the loss turns non-finite, the step
-    is rolled back, diverged is set, and the remaining trajectory repeats
-    the last finite state; overflow is therefore not an error.
+    is rolled back and the run stops; overflow is therefore not an error.
+    diverged is read off the trajectory: a run that stopped early diverged,
+    and its remaining trajectory repeats the last finite state.
     """
     params, targets, ious = _draw_pairs(config)
     state = np.zeros_like(params)
@@ -327,25 +328,17 @@ def fit(config: FitConfig) -> FitResult:
     grad, losses = _PAIR_GRAD[config.loss_kind], _LOSSES[config.loss_kind]
     lr = config.learning_rate
     rho = config.momentum_or_decay
-    k = config.num_pairs
-
-    order = np.random.default_rng(config.seed).permutation(k)
-    offsets = np.arange(config.batch_size)
+    b = config.batch_size
+    order = np.random.default_rng(config.seed).permutation(config.num_pairs)
 
     # Every kind's loss row gets the mean IoU as lam; only the smooth kind reads it.
     def evaluate() -> tuple[float, float]:
         mean_iou = _blend_weight(ious)
         return _mean(losses(params, targets, ious, mean_iou, huber)), mean_iou
 
-    loss, mean_iou = evaluate()
-    loss_traj = [loss]
-    iou_traj = [mean_iou]
-    diverged = False
-    cursor = 0
-    for _ in range(config.steps):
-        idx = order[(cursor + offsets) % k]
-        cursor = (cursor + config.batch_size) % k
-
+    records = [evaluate()]
+    for s in range(config.steps):
+        idx = order.take(np.arange(s * b, s * b + b), mode="wrap")
         batch, batch_targets = params[idx], targets[idx]
         g = grad(batch, batch_targets, _blend_weight(ious[idx]), huber)
         if config.optimizer is OptimizerKind.RMSPROP_LIKE:
@@ -355,34 +348,30 @@ def fit(config: FitConfig) -> FitResult:
             batch_state = rho * state[idx] + g
             moved = batch - lr * batch_state
         # Inverted coordinates collapse to their midpoint; degenerate is valid.
-        for lo, hi in ((0, 2), (1, 3)):
-            inverted = moved[:, hi] < moved[:, lo]
-            mid = 0.5 * (moved[inverted, lo] + moved[inverted, hi])
-            moved[inverted, lo] = mid
-            moved[inverted, hi] = mid
+        halves = moved.reshape(-1, 2, 2)  # a view: (xmin, ymin) and (xmax, ymax) per row
+        lo, hi = halves[:, :1], halves[:, 1:]
+        np.copyto(halves, 0.5 * (lo + hi), where=hi < lo)
         state[idx] = batch_state
         params[idx] = moved
         # idx has no repeats (batch_size <= num_pairs), and a rolled-back
         # step ends the loop, so no stale row is ever read.
         ious[idx] = iou_array(moved, batch_targets)
 
-        loss, mean_iou = evaluate()
-        if not (np.isfinite(moved).all() and math.isfinite(loss)):
+        record = evaluate()
+        if not (np.isfinite(moved).all() and math.isfinite(record[0])):
             params[idx] = batch
-            diverged = True
             break
-        loss_traj.append(loss)
-        iou_traj.append(mean_iou)
+        records.append(record)
 
-    # A diverged run's trajectories repeat its last finite state.
-    pad = config.steps + 1 - len(loss_traj)
-    loss_traj += loss_traj[-1:] * pad
-    iou_traj += iou_traj[-1:] * pad
+    # A run that stopped early diverged; its trajectories repeat its last finite state.
+    diverged = len(records) <= config.steps
+    records += records[-1:] * (config.steps + 1 - len(records))
+    loss_traj, iou_traj = zip(*records)
     return FitResult(
         mean_iou_initial=iou_traj[0],
         mean_iou_final=iou_traj[-1],
-        loss_trajectory=tuple(loss_traj),
-        iou_trajectory=tuple(iou_traj),
+        loss_trajectory=loss_traj,
+        iou_trajectory=iou_traj,
         diverged=diverged,
         final_predicted=tuple(Box(*row) for row in params.tolist()),
     )
@@ -407,22 +396,21 @@ def compare_losses(
         if kind in kinds[:i]:
             raise ValueError(f"loss kind {kind.value!r} is repeated")
 
-    runs: dict[tuple[LossKind, int], FitResult] = {}
-    rows: list[ComparisonRow] = []
-    for kind in kinds:
-        results = []
-        for s in range(num_seeds):
-            seed = config.seed + s
-            results.append(fit(replace(config, loss_kind=kind, seed=seed)))
-            runs[(kind, seed)] = results[-1]
-        finals = [result.mean_iou_final for result in results]
-        rows.append(
-            ComparisonRow(
-                loss_kind=kind,
-                mean_final_iou=statistics.fmean(finals),
-                stddev_final_iou=statistics.pstdev(finals),
-                mean_initial_iou=statistics.fmean(r.mean_iou_initial for r in results),
-                num_diverged=sum(r.diverged for r in results),
-            )
+    seeds = range(config.seed, config.seed + num_seeds)
+    runs = {
+        (kind, seed): fit(replace(config, loss_kind=kind, seed=seed))
+        for kind in kinds
+        for seed in seeds
+    }
+    by_kind = {kind: [runs[kind, seed] for seed in seeds] for kind in kinds}
+    rows = tuple(
+        ComparisonRow(
+            loss_kind=kind,
+            mean_final_iou=statistics.fmean(r.mean_iou_final for r in results),
+            stddev_final_iou=statistics.pstdev([r.mean_iou_final for r in results]),
+            mean_initial_iou=statistics.fmean(r.mean_iou_initial for r in results),
+            num_diverged=sum(r.diverged for r in results),
         )
-    return ComparisonResult(rows=tuple(rows), runs=runs)
+        for kind, results in by_kind.items()
+    )
+    return ComparisonResult(rows=rows, runs=runs)

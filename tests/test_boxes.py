@@ -78,6 +78,19 @@ class TestBoxConstruction:
         with pytest.raises(ValueError):
             BoxYXHW(y1=5.0, x1=5.0, h=1.0, w=-2.0)
 
+    def test_yxhw_rejects_non_finite_field(self):
+        with pytest.raises(ValueError, match=r"^y1 must be finite, got nan$"):
+            BoxYXHW(y1=math.nan, x1=0.0, h=1.0, w=1.0)
+        with pytest.raises(ValueError, match=r"^w must be finite, got inf$"):
+            BoxYXHW(y1=0.0, x1=0.0, h=1.0, w=math.inf)
+
+    def test_scaled_rejects_non_positive_factor(self):
+        b = Box(1.0, 2.0, 3.0, 4.0)
+        assert b.scaled(2.0) == Box(2.0, 4.0, 6.0, 8.0)
+        for s in (0.0, -1.0):
+            with pytest.raises(ValueError, match=r"^scale factor must be positive"):
+                b.scaled(s)
+
     def test_batch_requires_equal_lengths(self):
         a = Box(0, 0, 1, 1)
         with pytest.raises(ValueError):
@@ -207,6 +220,24 @@ class TestPixelOracle:
         b = Box(0, 0, 1, 1)
         with pytest.raises(ValueError):
             iou_pixel_oracle(b, b, resolution=0)
+
+    def test_zero_extent_frame_is_one_cell_wide(self):
+        # Both boxes lie on the line x = 1, so the frame has no width; one
+        # column of cells at x = 1 keeps the counts defined: 300 of 800 rows.
+        a, b = Box(1.0, 0.0, 1.0, 5.0), Box(1.0, 2.0, 1.0, 8.0)
+        assert iou_pixel_oracle(a, b) == 300 / 800
+        assert iou_pixel_oracle(a, a) == 1.0
+
+    def test_rejects_a_frame_past_the_cell_limit(self):
+        # 1e8 cells along x at 100 per unit; refused before any allocation.
+        with pytest.raises(ValueError, match=r"exceeds the 50000000 limit"):
+            iou_pixel_oracle(Box(0.0, 0.0, 1e6, 1.0), Box(0.0, 0.0, 1.0, 1.0))
+
+    def test_boxes_between_cell_centres_have_an_empty_union(self):
+        # Two zero-width boxes on either side of the one cell centre, x = 0.002:
+        # no cell counts toward either, and the union count is 0.
+        a, b = Box(0.001, 0.0, 0.001, 1.0), Box(0.003, 0.0, 0.003, 1.0)
+        assert iou_pixel_oracle(a, b) == 0.0
 
     def test_agrees_with_closed_form_on_random_pairs(self):
         rng = np.random.default_rng(42)

@@ -141,6 +141,22 @@ class TestProfileCommand:
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert main(["profile", "--out", str(missing)]) == 1
 
+    @pytest.mark.parametrize("out", [".csv", "somedir/", "somedir/.csv"])
+    @pytest.mark.parametrize("via", ["flag", "manifest"])
+    def test_out_that_names_no_file_exits_2(self, tmp_path, capsys, monkeypatch, out, via):
+        # Each out's stem is empty or a directory: it would write the hidden
+        # files .csv and .manifest.json.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "somedir").mkdir()
+        argv = ["profile", "--out", out, "--samples", "21"]
+        if via == "manifest":
+            Path("m.json").write_text(json.dumps(_manifest("profile", out=out)))
+            argv = ["rerun", "m.json"]
+        message = _exit_2_message(capsys, argv)
+        assert message == f"boxloss {argv[0]}: error: out must name a file, got {out!r}"
+        written = {path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*")}
+        assert written == ({"somedir", "m.json"} if via == "manifest" else {"somedir"})
+
     def test_repeated_delta_in_a_manifest_exits_2(self, tmp_path, capsys):
         assert main(["profile", "--out", str(tmp_path / "p"), "--deltas", "1.0,2.0"]) == 0
         message = _replay_edited(capsys, tmp_path / "p.manifest.json", deltas=[2.0, 1.0, 2.0])
@@ -1161,6 +1177,13 @@ class TestRerun:
                 _manifest("profile", extra_key=1),
                 "manifest config has unknown key 'extra_key'",
             ),
+            # Integers past the largest float, as JSON writes them in full.
+            (_manifest("fit", learning_rate=10**400), "learning_rate is too large for a float"),
+            (_manifest("fit", delta=10**400), "delta is too large for a float"),
+            (
+                _manifest("fit", frame=[0, 0, 10**400, 100]),
+                f"frame expects 4 numbers in a JSON list, got {[0, 0, 10**400, 100]!r}",
+            ),
         ],
         ids=[
             "not_an_object",
@@ -1184,6 +1207,9 @@ class TestRerun:
             "frame_as_text",
             "learning_rate_as_text",
             "unknown_key",
+            "huge_int_learning_rate",
+            "huge_int_delta",
+            "huge_int_frame_item",
         ],
     )
     def test_malformed_manifest_exits_2(self, tmp_path, capsys, monkeypatch, manifest, message):

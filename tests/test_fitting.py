@@ -372,7 +372,8 @@ class TestFit:
         # Each step recomputes only its minibatch's IoU rows; the reference
         # re-evaluates the whole dataset every step. The large learning
         # rates make runs diverge, so the rolled-back step's stale rows are
-        # covered too.
+        # covered too. With 20 pairs, batch size 7 is the one whose
+        # minibatches straddle the end of the shuffled order.
         def bits(result):
             floats = [
                 result.mean_iou_initial,
@@ -385,7 +386,7 @@ class TestFit:
 
         diverged = 0
         grid = itertools.product(
-            list(LossKind), list(OptimizerKind), (4, 20), (0.05, 5.0, 1e308), (0, 1)
+            list(LossKind), list(OptimizerKind), (4, 7, 20), (0.05, 5.0, 1e308), (0, 1)
         )
         for kind, optimizer, batch_size, lr, seed in grid:
             config = FitConfig(
