@@ -141,11 +141,11 @@ class TestProfileCommand:
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert main(["profile", "--out", str(missing)]) == 1
 
-    @pytest.mark.parametrize("out", [".csv", "somedir/", "somedir/.csv"])
+    @pytest.mark.parametrize("out", [".csv", "somedir/", "somedir/.csv", ".", "somedir/.."])
     @pytest.mark.parametrize("via", ["flag", "manifest"])
     def test_out_that_names_no_file_exits_2(self, tmp_path, capsys, monkeypatch, out, via):
-        # Each out's stem is empty or a directory: it would write the hidden
-        # files .csv and .manifest.json.
+        # Each out's stem names a directory: it would write hidden files, such
+        # as .csv and .manifest.json.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "somedir").mkdir()
         argv = ["profile", "--out", out, "--samples", "21"]

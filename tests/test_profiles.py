@@ -209,8 +209,6 @@ class TestMismatch:
             sweep_mismatch(scale=-1.0)
         with pytest.raises(ValueError):
             sweep_mismatch(scale=math.inf)
-
-    def test_overflowing_corner_is_refused(self):
         # A finite scale whose sliding box's corners overflow to infinity.
         with pytest.raises(ValueError, match=r"^every sliding box corner must be finite$"):
             sweep_mismatch(SweepConfig(), scale=1e308)
