@@ -162,8 +162,8 @@ def _execute_profile(cfg: dict) -> list[str]:
     config = SweepConfig(delta=cfg["delta"], num_samples=cfg["samples"])
     out = _out(cfg)
     stem = out[:-4] if out.endswith(".csv") else out
-    # An out such as ".csv", "dir/" or "." names a directory and would write
-    # hidden files: .csv and .manifest.json, or ..csv and ..manifest.json.
+    # A stem that names no file (from ".csv", "dir/" or ".") would write hidden
+    # files: .csv and .manifest.json, or ..csv and ..manifest.json.
     if os.path.basename(stem) in ("", ".", ".."):
         raise ValueError(f"out must name a file, got {out!r}")
     if cfg["deltas"] is None:
