@@ -240,11 +240,8 @@ def iou_array(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def _cell_centers(lo: float, hi: float, resolution: int) -> np.ndarray:
-    if hi <= lo:
-        # Degenerate extent: a single sample row keeps counts well defined.
-        return np.array([lo])
-    n = math.ceil((hi - lo) * resolution)
-    n = max(1, n)
+    # A zero extent gives one cell, at lo, so counts stay well defined.
+    n = max(1, math.ceil((hi - lo) * resolution))
     if n > _MAX_ORACLE_CELLS:
         raise ValueError(
             f"oracle grid of {n} cells per axis exceeds the {_MAX_ORACLE_CELLS} limit; "

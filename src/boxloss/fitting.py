@@ -92,9 +92,15 @@ class FitConfig:
     batch_size: int = 16
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "regime", OverlapRegime(self.regime))
-        object.__setattr__(self, "loss_kind", LossKind(self.loss_kind))
-        object.__setattr__(self, "optimizer", OptimizerKind(self.optimizer))
+        for name, kind in (
+            ("regime", OverlapRegime), ("loss_kind", LossKind), ("optimizer", OptimizerKind)
+        ):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, kind(value))
+            except ValueError:
+                allowed = ", ".join(repr(member.value) for member in kind)
+                raise ValueError(f"{name} must be one of {allowed}, got {value!r}") from None
         # batch_size's range, [1, num_pairs], is checked below.
         _check_counts(
             num_pairs=(self.num_pairs, 1),
@@ -147,14 +153,20 @@ class FitConfig:
 @dataclass(frozen=True)
 class FitResult:
     """Trajectories are recorded before the first step and after every step,
-    so both have length steps + 1."""
+    so both have length steps + 1. final_corners holds each final prediction
+    as an (xmin, ymin, xmax, ymax) tuple of floats; final_predicted builds
+    them as Boxes on each read."""
 
     mean_iou_initial: float
     mean_iou_final: float
     loss_trajectory: tuple[float, ...]
     iou_trajectory: tuple[float, ...]
     diverged: bool
-    final_predicted: tuple[Box, ...]
+    final_corners: tuple[tuple[float, float, float, float], ...]
+
+    @property
+    def final_predicted(self) -> tuple[Box, ...]:
+        return tuple(Box(*row) for row in self.final_corners)
 
 
 @dataclass(frozen=True)
@@ -373,7 +385,7 @@ def fit(config: FitConfig) -> FitResult:
         loss_trajectory=loss_traj,
         iou_trajectory=iou_traj,
         diverged=diverged,
-        final_predicted=tuple(Box(*row) for row in params.tolist()),
+        final_corners=tuple(map(tuple, params.tolist())),
     )
 
 

@@ -243,5 +243,5 @@ def fit(config: FitConfig) -> FitResult:
         loss_trajectory=tuple(loss_traj),
         iou_trajectory=tuple(iou_traj),
         diverged=diverged,
-        final_predicted=tuple(Box(*row) for row in params.tolist()),
+        final_corners=tuple(Box(*row).corners() for row in params.tolist()),
     )

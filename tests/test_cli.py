@@ -855,6 +855,20 @@ class TestRerun:
         assert _replay_edited(capsys, manifest_path, **config) == f"boxloss rerun: error: {message}"
         assert not (tmp_path / "p_delta1.0.csv").exists()
 
+    @pytest.mark.parametrize(
+        ("key", "value", "message"),
+        [
+            ("loss", [], "loss_kind must be one of 'huber', 'squared', 'iou', 'smooth_iou', got []"),
+            ("regime", 5, "regime must be one of 'overlapping', 'disjoint', 'mixed', got 5"),
+            ("optimizer", None, "optimizer must be one of 'plain_gd', 'rmsprop_like', got None"),
+        ],
+    )
+    def test_wrongly_typed_choice_exits_2_naming_the_setting(
+        self, tmp_path, capsys, key, value, message
+    ):
+        message_line = _replay_edited(capsys, self._fit(tmp_path), **{key: value})
+        assert message_line == f"boxloss rerun: error: {message}"
+
     def test_manifest_of_format_0_1_exits_2(self, tmp_path, capsys):
         manifest_path = self._fit(tmp_path)
         manifest = json.loads(manifest_path.read_text())

@@ -404,6 +404,49 @@ class TestFit:
         assert diverged > 0
 
 
+def _count_boxes(monkeypatch) -> list[None]:
+    """A list that gains one item per Box built from now on."""
+    built = []
+    check = Box.__post_init__
+
+    def counted(box):
+        built.append(None)
+        check(box)
+
+    monkeypatch.setattr(Box, "__post_init__", counted)
+    return built
+
+
+class TestFitResult:
+    @pytest.mark.parametrize("regime", ["mixed", "disjoint"])
+    def test_result_path_builds_no_box(self, monkeypatch, regime):
+        config = FitConfig(
+            regime=regime, translation_sigma=1.5, num_pairs=12, batch_size=5, steps=20, seed=3
+        )
+        built = _count_boxes(monkeypatch)
+        result = fit(config)
+        comparison = compare_losses(config, [LossKind.HUBER, LossKind.SMOOTH_IOU], num_seeds=2)
+        assert len(built) == 0
+        # Each read builds the Boxes again, one per pair.
+        for run in (result, *comparison.runs.values()):
+            before = len(built)
+            boxes = run.final_predicted
+            assert len(built) - before == config.num_pairs
+            assert [box.corners() for box in boxes] == list(run.final_corners)
+
+    def test_equal_fits_compare_and_hash_equal(self):
+        config = FitConfig(num_pairs=6, batch_size=4, steps=15, seed=8)
+        a, b = fit(config), fit(config)
+        assert a == b
+        assert hash(a) == hash(b)
+        corners = list(a.final_corners)
+        xmin, *rest = corners[2]
+        corners[2] = (math.nextafter(xmin, -math.inf), *rest)
+        edited = replace(a, final_corners=tuple(corners))
+        assert edited != a
+        assert edited.final_predicted != a.final_predicted
+
+
 class TestCompareLosses:
     def test_matched_datasets_and_shape(self):
         config = FitConfig(steps=30, num_pairs=8, batch_size=8, seed=0)
@@ -546,6 +589,20 @@ class TestFitConfigValidation:
         # A string or None is refused before any comparison meets it.
         with pytest.raises(ValueError, match=rf"^{name} must be a number, got {value!r}$"):
             FitConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        ("name", "value", "allowed"),
+        [
+            ("loss_kind", [], "'huber', 'squared', 'iou', 'smooth_iou'"),
+            ("regime", 5, "'overlapping', 'disjoint', 'mixed'"),
+            ("optimizer", None, "'plain_gd', 'rmsprop_like'"),
+            ("optimizer", "adam", "'plain_gd', 'rmsprop_like'"),
+        ],
+    )
+    def test_bad_enum_value_names_the_field_and_its_values(self, name, value, allowed):
+        with pytest.raises(ValueError) as exc:
+            FitConfig(**{name: value})
+        assert str(exc.value) == f"{name} must be one of {allowed}, got {value!r}"
 
     def test_rejects_unknown_enum_values(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ unset for every command that does not set it here. OUT must not exist yet.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import subprocess
@@ -32,6 +33,25 @@ _CRITERION_7 = [
 _CONFIG_FILE = (
     "num_pairs = 12\nbatch_size = 5\nsteps = 40\nloss = huber\n"
     "optimizer = plain_gd\nlearning_rate = 0.2\n"
+)
+# A fit manifest of format 0.2.0 whose loss is a JSON list: rerun exits 2
+# naming the setting. Its version must be the one under test, or rerun
+# refuses the manifest for that first.
+_BAD_LOSS_MANIFEST = json.dumps(
+    {
+        "command": "fit",
+        "config": {
+            "batch_size": 4, "compare": None, "delta": 1.0, "frame": [0.0, 0.0, 100.0, 100.0],
+            "learning_rate": 0.05, "loss": [], "momentum_or_decay": 0.9, "num_pairs": 4,
+            "num_seeds": 1, "optimizer": "rmsprop_like", "out": "run", "regime": "mixed",
+            "scale_sigma": 0.1, "seed": 1, "steps": 3, "target_size_max": 20.0,
+            "target_size_min": 5.0, "translation_sigma": 0.3,
+        },
+        "outputs": [],
+        "seed": 1,
+        "version": "0.2.0",
+    },
+    indent=2,
 )
 
 # (name, argv, extras): extras may give "env" (variables to set), "files"
@@ -112,6 +132,11 @@ COMMANDS = [
     ("exit2_batch_over_pairs", ["fit", "--out", "run", "--num-pairs", "5", "--batch-size", "6"], {}),
     ("exit2_repeated_delta", ["profile", "--out", "p.csv", "--deltas", "1.0,1.0"], {}),
     ("exit2_zero_samples", ["gradcheck", "--samples", "0"], {}),
+    (
+        "exit2_rerun_list_loss",
+        ["rerun", "manifest.json"],
+        {"files": {"manifest.json": _BAD_LOSS_MANIFEST}},
+    ),
     (
         "exit4_infeasible",
         [
