@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from enum import Enum
 from typing import Iterator
 
 import numpy as np
@@ -44,6 +45,16 @@ def _check_counts(**counts: tuple[object, float]) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < minimum:
             raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _check_choice(name: str, value, choices: type[Enum]) -> Enum:
+    """The one check of an enum setting: `value` converted to a member of
+    `choices`, or a ValueError naming the setting and every allowed value."""
+    try:
+        return choices(value)
+    except ValueError:
+        allowed = ", ".join(repr(member.value) for member in choices)
+        raise ValueError(f"{name} must be one of {allowed}, got {value!r}") from None
 
 
 def _check_numbers(**values) -> None:

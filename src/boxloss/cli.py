@@ -28,6 +28,7 @@ import sys
 import typing
 from dataclasses import fields, replace
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from .boxes import Box, _check_numbers
 from .fitting import FitConfig, InfeasibleDatasetError, compare_losses
 from .gradients import REGIMES, GradCheckConfig, _check_kinds, finite_diff_check
 from .losses import LossKind
-from .profiles import SweepConfig, SweepRow, sweep_mismatch
+from .profiles import SweepConfig, _check_deltas, sweep_mismatch
 
 __all__ = ["main"]
 
@@ -82,29 +83,16 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_lines(path: str | Path, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-
-
-def _sweep_lines(rows: list[SweepRow]) -> list[str]:
-    return [",".join(_SWEEP_COLUMNS)] + [",".join(map(_fmt, _sweep_cells(r))) for r in rows]
-
-
-def _write_manifest(
-    path: str | Path, command: str, config: dict, seed, outputs: list[str]
-) -> None:
-    payload = {
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "version": __version__,
-        **_ENVIRONMENT,
-        "outputs": outputs,
-    }
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+def _write_outputs(manifest_path: str | Path, command: str, cfg: dict, seed, files: dict) -> None:
+    """Write each file of `files` (a path mapped to its lines), then the manifest."""
+    for path, lines in files.items():
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+    manifest = {"command": command, "config": cfg, "seed": seed, "version": __version__}
+    manifest.update(_ENVIRONMENT, outputs=list(files))
+    with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -158,7 +146,7 @@ def _out(cfg: dict) -> str:
 # profile
 
 
-def _execute_profile(cfg: dict) -> list[str]:
+def _execute_profile(cfg: dict) -> None:
     config = SweepConfig(delta=cfg["delta"], num_samples=cfg["samples"])
     out = _out(cfg)
     stem = out[:-4] if out.endswith(".csv") else out
@@ -167,29 +155,25 @@ def _execute_profile(cfg: dict) -> list[str]:
     if os.path.basename(stem) in ("", ".", ".."):
         raise ValueError(f"out must name a file, got {out!r}")
     if cfg["deltas"] is None:
-        runs = [(config, f"{stem}.csv")]
+        runs = {f"{stem}.csv": config}
     else:
         deltas = _items("deltas", cfg["deltas"], float)
-        for i, d in enumerate(deltas):
-            if d in deltas[:i]:
-                raise ValueError(f"delta {_fmt(d)} is repeated in deltas")
-        runs = [(replace(config, delta=d), f"{stem}_delta{_fmt(d)}.csv") for d in deltas]
-    for run_config, path in runs:
-        _write_lines(path, _sweep_lines(sweep_mismatch(run_config, cfg["mismatch_scale"])))
-    outputs = [path for _, path in runs]
-    _write_manifest(f"{stem}.manifest.json", "profile", cfg, None, outputs)
-    return outputs
+        _check_deltas(deltas)
+        runs = {f"{stem}_delta{_fmt(d)}.csv": replace(config, delta=d) for d in deltas}
+    # Every sweep runs here, before any file opens, so a refused scale writes
+    # nothing; each file's rows are formatted as it is written.
+    head, scale = [",".join(_SWEEP_COLUMNS)], cfg["mismatch_scale"]
+    files = {
+        path: chain(head, (",".join(map(_fmt, _sweep_cells(r))) for r in sweep_mismatch(c, scale)))
+        for path, c in runs.items()
+    }
+    _write_outputs(f"{stem}.manifest.json", "profile", cfg, None, files)
 
 
 def _cmd_profile(args) -> int:
-    deltas = None if args.deltas is None else _items("--deltas", args.deltas, float, text=True)
-    cfg = {
-        "out": args.out,
-        "delta": args.delta,
-        "mismatch_scale": args.mismatch_scale,
-        "samples": args.samples,
-        "deltas": deltas,
-    }
+    cfg = {key: getattr(args, key) for key in _REPLAY["profile"][0]}
+    if args.deltas is not None:
+        cfg["deltas"] = _items("--deltas", args.deltas, float, text=True)
     _execute_profile(cfg)
     return 0
 
@@ -221,7 +205,7 @@ def _cmd_gradcheck(args) -> int:
 # fit
 
 
-def _execute_fit(cfg: dict) -> list[str]:
+def _execute_fit(cfg: dict) -> None:
     outdir = Path(_out(cfg))
     # FitConfig converts and validates the other fields.
     values = {f.name: cfg[key] for key, f in _FIT_FIELDS.items()}
@@ -229,41 +213,34 @@ def _execute_fit(cfg: dict) -> list[str]:
     compare = cfg["compare"]
     kinds = [cfg["loss"]] if compare is None else _items("compare", compare, LossKind)
     result = compare_losses(config, kinds, cfg["num_seeds"])
-
-    outdir.mkdir(parents=True, exist_ok=True)
-    outputs: list[str] = []
-    diverged: list[str] = []
-
-    for (kind, seed), run in result.runs.items():
-        if run.diverged:
-            diverged.append(f"{kind.value} seed {seed}")
-        path = outdir / f"trajectory_{kind.value}_seed{seed}.csv"
-        lines = [_TRAJECTORY_HEADER]
-        for step, (loss, mean_iou) in enumerate(
-            zip(run.loss_trajectory, run.iou_trajectory)
-        ):
-            lines.append(f"{step},{_fmt(loss)},{_fmt(mean_iou)}")
-        _write_lines(path, lines)
-        outputs.append(str(path))
-
-    summary_path = outdir / "summary.csv"
-    lines = [_SUMMARY_HEADER]
-    for row in result.rows:
-        lines.append(
+    runs = result.runs.items()
+    files = {
+        str(outdir / f"trajectory_{kind.value}_seed{seed}.csv"): chain(
+            [_TRAJECTORY_HEADER],
+            (
+                f"{step},{_fmt(loss)},{_fmt(iou)}"
+                for step, (loss, iou) in enumerate(zip(run.loss_trajectory, run.iou_trajectory))
+            ),
+        )
+        for (kind, seed), run in runs
+    }
+    files[str(outdir / "summary.csv")] = chain(
+        [_SUMMARY_HEADER],
+        (
             f"{row.loss_kind.value},{_fmt(row.mean_final_iou)},"
             f"{_fmt(row.stddev_final_iou)},{_fmt(row.mean_initial_iou)},{row.num_diverged}"
-        )
-    _write_lines(summary_path, lines)
-    outputs.append(str(summary_path))
-
-    _write_manifest(outdir / "manifest.json", "fit", cfg, cfg["seed"], outputs)
+            for row in result.rows
+        ),
+    )
+    outdir.mkdir(parents=True, exist_ok=True)
+    _write_outputs(outdir / "manifest.json", "fit", cfg, cfg["seed"], files)
+    diverged = [f"{kind.value} seed {seed}" for (kind, seed), run in runs if run.diverged]
     if diverged:
         print(
             "warning: these runs diverged; their trajectories repeat the last finite "
             f"step: {', '.join(diverged)}",
             file=sys.stderr,
         )
-    return outputs
 
 
 def _read_config_file(path: str) -> dict:

@@ -18,7 +18,8 @@ from enum import Enum
 
 import numpy as np
 
-from .boxes import _IEEE, Box, BoxBatch, _check_counts, _check_numbers, iou, iou_array
+from .boxes import _IEEE, Box, BoxBatch, _check_choice, _check_counts, _check_numbers
+from .boxes import iou, iou_array
 from .gradients import _PAIR_GRAD
 from .losses import _LOSSES, HuberParams, LossKind, _blend_weight, _mean
 
@@ -95,12 +96,7 @@ class FitConfig:
         for name, kind in (
             ("regime", OverlapRegime), ("loss_kind", LossKind), ("optimizer", OptimizerKind)
         ):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, kind(value))
-            except ValueError:
-                allowed = ", ".join(repr(member.value) for member in kind)
-                raise ValueError(f"{name} must be one of {allowed}, got {value!r}") from None
+            object.__setattr__(self, name, _check_choice(name, getattr(self, name), kind))
         # batch_size's range, [1, num_pairs], is checked below.
         _check_counts(
             num_pairs=(self.num_pairs, 1),
@@ -403,7 +399,7 @@ def compare_losses(
     _check_counts(num_seeds=(num_seeds, 1))
     if len(kinds) == 0:
         raise ValueError("kinds must be non-empty")
-    kinds = [LossKind(kind) for kind in kinds]
+    kinds = [_check_choice("kind", kind, LossKind) for kind in kinds]
     for i, kind in enumerate(kinds):
         if kind in kinds[:i]:
             raise ValueError(f"loss kind {kind.value!r} is repeated")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
-from .boxes import _IEEE, Box, BoxBatch, _corner_row, iou, iou_array
+from .boxes import _IEEE, Box, BoxBatch, _check_choice, _check_numbers, _corner_row, iou, iou_array
 
 __all__ = [
     "LossKind",
@@ -47,6 +47,7 @@ class HuberParams:
     delta: float = 1.0
 
     def __post_init__(self) -> None:
+        _check_numbers(delta=self.delta)
         if not math.isfinite(self.delta) or self.delta <= 0:
             raise ValueError(f"delta must be finite and positive, got {self.delta!r}")
 
@@ -168,7 +169,7 @@ def loss_batch(
     batch: BoxBatch, kind: LossKind, params: HuberParams = HuberParams()
 ) -> LossReport:
     """Evaluate one loss kind over a batch; per_example_iou is always populated."""
-    kind = LossKind(kind)
+    kind = _check_choice("kind", kind, LossKind)
     pred, target = batch.arrays()
     ious = iou_array(pred, target)
     lam = _blend_weight(ious) if kind is LossKind.SMOOTH_IOU else _FIXED_LAM[kind]

@@ -110,6 +110,15 @@ def sweep_mismatch(config: SweepConfig = SweepConfig(), scale: float = 1.0) -> l
     return [SweepRow(*row) for row in zip(xs, *losses, v.tolist())]
 
 
+def _check_deltas(deltas) -> None:
+    """Refuse a threshold given twice: a study keys its sweeps by threshold,
+    and the CLI names its files by it, so the repeat would be dropped."""
+    for i, d in enumerate(deltas):
+        _check_numbers(delta=d)
+        if d in deltas[:i]:
+            raise ValueError(f"delta {float(d)!r} is repeated in deltas")
+
+
 def delta_study(
     config: SweepConfig = SweepConfig(), deltas: tuple[float, ...] = DEFAULT_DELTAS
 ) -> dict[float, list[SweepRow]]:
@@ -120,6 +129,7 @@ def delta_study(
     """
     if len(deltas) == 0:
         raise ValueError("deltas must be non-empty")
+    _check_deltas(deltas)
     return {d: sweep(replace(config, delta=d)) for d in deltas}
 
 

@@ -1383,3 +1383,41 @@ class TestDeterminism:
         right = (b / "trajectory_smooth_iou_seed9.csv").read_bytes()
         assert left == right
         assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
+
+    def test_output_bytes_are_pinned(self, tmp_path):
+        # Every cell of this profile is exact in IEEE arithmetic, so these
+        # bytes hold on every platform.
+        out = tmp_path / "p.csv"
+        assert main(["profile", "--out", str(out), "--samples", "5"]) == 0
+        assert out.read_bytes() == (
+            b"x_center,iou,huber,squared,iou_loss,smooth_iou\n"
+            b"0.0,0.0,79.0,1600.0,1.0,79.0\n"
+            b"20.0,0.0,39.0,400.0,1.0,39.0\n"
+            b"40.0,1.0,0.0,0.0,0.0,0.0\n"
+            b"60.0,0.0,39.0,400.0,1.0,39.0\n"
+            b"80.0,0.0,79.0,1600.0,1.0,79.0\n"
+        )
+        # A fit's cells depend on libm, so only their form is pinned: an
+        # integer step or count, and floats written as repr(float(cell)).
+        run = tmp_path / "run"
+        argv = ["fit", "--out", str(run), "--compare", "huber,smooth_iou", "--seeds", "2",
+                "--num-pairs", "4", "--batch-size", "4", "--steps", "6"]
+        assert main(argv) == 0
+        manifest = json.loads((run / "manifest.json").read_text())
+        for path in map(Path, manifest["outputs"][:-1]):
+            lines = _read(path)
+            assert lines[0] == "step,loss,mean_iou"
+            for step, line in enumerate(lines[1:]):
+                cells = line.split(",")
+                assert len(cells) == 3 and cells[0] == str(step)
+                assert all(cell == repr(float(cell)) for cell in cells[1:])
+        summary = _read(run / "summary.csv")
+        assert summary[0] == (
+            "loss_kind,mean_final_iou,stddev_final_iou,mean_initial_iou,num_diverged"
+        )
+        for kind, line in zip(("huber", "smooth_iou"), summary[1:], strict=True):
+            cells = line.split(",")
+            assert len(cells) == 5 and cells[0] == kind and cells[4] == "0"
+            assert all(cell == repr(float(cell)) for cell in cells[1:4])
+        assert manifest["outputs"][-1] == str(run / "summary.csv")
+        assert len(manifest["outputs"]) == 5

@@ -489,6 +489,12 @@ class TestCompareLosses:
             compare_losses(config, [], num_seeds=2)
         with pytest.raises(ValueError, match=r"^loss kind 'huber' is repeated$"):
             compare_losses(config, [LossKind.HUBER, "squared", "huber"], num_seeds=1)
+        for kind in ("giou", []):
+            with pytest.raises(ValueError) as exc:
+                compare_losses(config, [LossKind.HUBER, kind], num_seeds=1)
+            assert str(exc.value) == (
+                f"kind must be one of 'huber', 'squared', 'iou', 'smooth_iou', got {kind!r}"
+            )
         for value in (True, 2.0):
             with pytest.raises(ValueError, match=rf"^num_seeds must be an integer, got {value}$"):
                 compare_losses(config, [LossKind.HUBER], num_seeds=value)

@@ -329,6 +329,17 @@ class TestFiniteDiffCheck:
             finite_diff_check(LossKind.HUBER, tolerance=math.nan)
         with pytest.raises(ValueError):
             finite_diff_check(LossKind.HUBER, step=math.nan)
+        for name, value in (("tolerance", "x"), ("tolerance", True), ("step", True)):
+            with pytest.raises(ValueError, match=rf"^{name} must be a number, got {value!r}$"):
+                finite_diff_check(LossKind.HUBER, **{name: value})
+        with pytest.raises(ValueError, match=r"^step is too large for a float$"):
+            finite_diff_check(LossKind.HUBER, step=10**400)
+        for kind in ("giou", []):
+            with pytest.raises(ValueError) as exc:
+                finite_diff_check(kind)
+            assert str(exc.value) == (
+                f"kind must be one of 'huber', 'squared', 'iou', 'smooth_iou', got {kind!r}"
+            )
 
     @pytest.mark.parametrize(
         "kind", [LossKind.HUBER, LossKind.SQUARED, LossKind.IOU, LossKind.SMOOTH_IOU]

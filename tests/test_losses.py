@@ -82,6 +82,11 @@ class TestHuberScalar:
             HuberParams(-1.0)
         with pytest.raises(ValueError):
             HuberParams(math.inf)
+        for value in (True, "1"):
+            with pytest.raises(ValueError, match=rf"^delta must be a number, got {value!r}$"):
+                HuberParams(value)
+        with pytest.raises(ValueError, match=r"^delta is too large for a float$"):
+            HuberParams(10**400)
 
     # 0.5 * z * z is subnormal in the first example; 0.5 * z**2 would round it
     # twice. In the second, the library pow gives delta**2 one ulp away from
@@ -268,6 +273,15 @@ class TestLossBatch:
     def test_accepts_string_kind(self):
         batch = BoxBatch((TARGET,), (TARGET,))
         assert loss_batch(batch, "huber").reduced_loss == 0.0
+
+    @pytest.mark.parametrize("kind", ["giou", []])
+    def test_unknown_kind_names_the_argument(self, kind):
+        batch = BoxBatch((TARGET,), (TARGET,))
+        with pytest.raises(ValueError) as exc:
+            loss_batch(batch, kind)
+        assert str(exc.value) == (
+            f"kind must be one of 'huber', 'squared', 'iou', 'smooth_iou', got {kind!r}"
+        )
 
     @given(PAIR_LISTS)
     def test_iou_always_populated(self, pairs):

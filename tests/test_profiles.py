@@ -241,6 +241,13 @@ class TestDeltaStudy:
         with pytest.raises(ValueError):
             delta_study(deltas=())
 
+    def test_repeated_delta_rejected(self):
+        # A repeat would collapse into one key of the study.
+        with pytest.raises(ValueError, match=r"^delta 1.0 is repeated in deltas$"):
+            delta_study(deltas=(1.0, 2.0, 1))
+        with pytest.raises(ValueError, match=r"^delta must be a number, got 'a'$"):
+            delta_study(deltas=("a", "a"))
+
 
 class TestConvexityScan:
     def test_iou_loss_violates_convexity(self):

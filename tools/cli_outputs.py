@@ -117,6 +117,13 @@ COMMANDS = [
          "--delta", "3.5"],
         {},
     ),
+    # The one path where --mismatch-scale reaches several files.
+    (
+        "profile_deltas_mismatch",
+        ["profile", "--out", "s.csv", "--deltas", "1.0,2.5", "--mismatch-scale", "0.8",
+         "--samples", "41"],
+        {},
+    ),
     *(
         (f"gradcheck_{regime}", ["gradcheck", "--regime", regime, "--samples", "200",
                                  "--seed", "3"], {})
