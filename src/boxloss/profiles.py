@@ -112,7 +112,7 @@ def sweep_mismatch(config: SweepConfig = SweepConfig(), scale: float = 1.0) -> l
 
 def _check_deltas(deltas) -> None:
     """Refuse a threshold given twice: a study keys its sweeps by threshold,
-    and the CLI names its files by it, so the repeat would be dropped."""
+    and the CLI names its files by it, so the repeat would be lost."""
     for i, d in enumerate(deltas):
         _check_numbers(delta=d)
         if d in deltas[:i]:
@@ -125,7 +125,8 @@ def delta_study(
     """Run the sweep once per Huber threshold; keys are the thresholds.
 
     Only the huber and smooth_iou columns respond to delta; the squared and
-    IoU columns are identical across the study.
+    IoU columns are identical across the study. A threshold listed twice
+    raises ValueError.
     """
     if len(deltas) == 0:
         raise ValueError("deltas must be non-empty")
