@@ -70,6 +70,14 @@ def _check_numbers(**values) -> None:
             raise ValueError(f"{name} is too large for a float") from None
 
 
+def _check_positive(**values) -> None:
+    """_check_numbers, then the one check of finite and positive settings."""
+    _check_numbers(**values)
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Box:
     """Rectangle in corner form (xmin, ymin, xmax, ymax).

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .boxes import Box, _check_numbers
+from .boxes import Box, _check_choice, _check_numbers, _check_positive
 from .fitting import FitConfig, InfeasibleDatasetError, compare_losses
 from .gradients import REGIMES, GradCheckConfig, _check_kinds, finite_diff_check
 from .losses import LossKind
@@ -96,17 +96,11 @@ def _write_outputs(manifest_path: str | Path, command: str, cfg: dict, seed, fil
         fh.write("\n")
 
 
-def _resolve_seed(flag_value, file_value, default: int) -> int:
-    """Priority: explicit flag, then config file, then the env var, then default."""
-    if flag_value is not None:
-        return flag_value
-    if file_value is not None:
-        return file_value
-    env = os.environ.get(_ENV_SEED)
-    if env is None:
-        return default
+def _env_seed(default: int) -> int:
+    """The seed of a run that no flag or config file seeds: BOXLOSS_SEED if
+    set, else `default`."""
     try:
-        return int(env)
+        return int(os.environ.get(_ENV_SEED, default))
     except ValueError:
         raise ValueError(f"{_ENV_SEED} must be an integer")
 
@@ -160,9 +154,11 @@ def _execute_profile(cfg: dict) -> None:
         deltas = _items("deltas", cfg["deltas"], float)
         _check_deltas(deltas)
         runs = {f"{stem}_delta{_fmt(d)}.csv": replace(config, delta=d) for d in deltas}
-    # Every sweep runs here, before any file opens, so a refused scale writes
-    # nothing; each file's rows are formatted as it is written.
+    # The scale is checked under its flag's and manifest's name. Every sweep
+    # runs here, before any file opens, so a refused sweep writes nothing;
+    # each file's rows are formatted as it is written.
     head, scale = [",".join(_SWEEP_COLUMNS)], cfg["mismatch_scale"]
+    _check_positive(mismatch_scale=scale)
     files = {
         path: chain(head, (",".join(map(_fmt, _sweep_cells(r))) for r in sweep_mismatch(c, scale)))
         for path, c in runs.items()
@@ -183,7 +179,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    seed = _resolve_seed(args.seed, None, GradCheckConfig.seed)
+    seed = _env_seed(GradCheckConfig.seed) if args.seed is None else args.seed
     kinds = list(LossKind) if args.loss == "all" else [LossKind(args.loss)]
     failed = False
     # GradCheckConfig and _check_kinds validate --samples, --step and --tol.
@@ -262,32 +258,38 @@ def _read_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             hint = _FIT_TYPES[_FIT_FIELDS[key].name]
             try:
-                values[key] = (
-                    _items(key, value, float, 4, text=True) if hint is Box else hint(value)
-                )
+                if hint is Box:
+                    values[key] = _items(key, value, float, 4, text=True)
+                elif issubclass(hint, Enum):
+                    values[key] = _check_choice(key, value, hint)
+                else:
+                    values[key] = hint(value)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
 def _cmd_fit(args) -> int:
+    # The settings the config file gives, then those the flags give: a flag
+    # beats the file, and both beat the defaults.
+    given = {} if args.config is None else _read_config_file(args.config)
+    flags = vars(args)
+    given.update({key: flags[key] for key in _FIT_FLAGS if flags[key] is not None})
+    if args.frame is not None:
+        given["frame"] = _items("--frame", args.frame, float, 4, text=True)
+    if args.size_range is not None:
+        size_range = _items("--size-range", args.size_range, float, 2, text=True)
+        given["target_size_min"], given["target_size_max"] = size_range
+
     # Enum members are strs, so manifests hold them as their values.
     cfg = {key: f.default for key, f in _FIT_FIELDS.items()}
     cfg["frame"] = list(FitConfig.frame.corners())
-    file_values = {} if args.config is None else _read_config_file(args.config)
-    cfg.update(file_values)
-
-    flags = vars(args)
-    cfg.update({key: flags[key] for key in _FIT_FLAGS if flags[key] is not None})
-    if args.frame is not None:
-        cfg["frame"] = _items("--frame", args.frame, float, 4, text=True)
-    if args.size_range is not None:
-        size_range = _items("--size-range", args.size_range, float, 2, text=True)
-        cfg["target_size_min"], cfg["target_size_max"] = size_range
-
-    cfg["seed"] = _resolve_seed(args.seed, file_values.get("seed"), FitConfig.seed)
-    # Unless the file or a flag sets it, the batch size is capped at num_pairs.
-    if "batch_size" not in file_values and args.batch_size is None:
+    cfg.update(given)
+    # Unless a source sets them, the seed comes from BOXLOSS_SEED and the
+    # batch size is capped at num_pairs.
+    if "seed" not in given:
+        cfg["seed"] = _env_seed(FitConfig.seed)
+    if "batch_size" not in given:
         cfg["batch_size"] = min(cfg["batch_size"], cfg["num_pairs"])
 
     cfg["compare"] = None

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .boxes import _IEEE, Box, BoxBatch, _check_choice, _check_counts, _check_numbers
-from .boxes import iou, iou_array
+from .boxes import _check_positive, iou, iou_array
 from .gradients import _PAIR_GRAD
 from .losses import _LOSSES, HuberParams, LossKind, _blend_weight, _mean
 
@@ -84,7 +84,7 @@ class FitConfig:
     scale_sigma: float = 0.1
     regime: OverlapRegime = OverlapRegime.MIXED
     loss_kind: LossKind = LossKind.SMOOTH_IOU
-    delta: float = 1.0
+    delta: float = HuberParams.delta
     optimizer: OptimizerKind = OptimizerKind.RMSPROP_LIKE
     learning_rate: float = 0.05
     momentum_or_decay: float = 0.9
@@ -131,10 +131,7 @@ class FitConfig:
                 f"perturbation sigmas must be finite and non-negative, got {sigmas}"
             )
         HuberParams(self.delta)
-        if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
-            raise ValueError(
-                f"learning_rate must be finite and positive, got {self.learning_rate}"
-            )
+        _check_positive(learning_rate=self.learning_rate)
         if not 0 <= self.momentum_or_decay < 1:
             raise ValueError(
                 f"momentum_or_decay must lie in [0, 1), got {self.momentum_or_decay}"

@@ -18,13 +18,12 @@ one-sided slopes rather than either convention.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boxes import _IEEE, Box, BoxBatch, _check_choice, _check_counts, _check_numbers
-from .boxes import _corner_row, _signed_overlap, iou_array, overlap_array
+from .boxes import _check_positive, _corner_row, _signed_overlap, iou_array, overlap_array
 # Unused here; bench/worker.py's traced run replaces iou on this module by name.
 from .boxes import iou  # noqa: F401
 from .losses import _LOSSES, HuberParams, LossKind, _blend, _blend_weight
@@ -298,11 +297,10 @@ def _check_kinds(
     Each chunk's pairs come from one call on each of two generators spawned
     from the seed, n rows of ten uniforms and n of two Gaussians, so the
     first n samples do not depend on num_samples or on the chunk size."""
-    _check_numbers(step=step, tolerance=tolerance)
+    _check_numbers(step=step)
     if not 1e-7 <= step <= 1e-3:
         raise ValueError(f"step must lie in [1e-7, 1e-3], got {step}")
-    if not math.isfinite(tolerance) or tolerance <= 0:
-        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
+    _check_positive(tolerance=tolerance)
     kinds = [_check_choice("kind", kind, LossKind) for kind in kinds]
 
     rng_u, rng_z = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2))

@@ -13,12 +13,11 @@ of the batch, never differentiated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
-from .boxes import _IEEE, Box, BoxBatch, _check_choice, _check_numbers, _corner_row, iou, iou_array
+from .boxes import _IEEE, Box, BoxBatch, _check_choice, _check_positive, _corner_row, iou, iou_array
 
 __all__ = [
     "LossKind",
@@ -47,9 +46,7 @@ class HuberParams:
     delta: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_numbers(delta=self.delta)
-        if not math.isfinite(self.delta) or self.delta <= 0:
-            raise ValueError(f"delta must be finite and positive, got {self.delta!r}")
+        _check_positive(delta=self.delta)
 
 
 def _huber_terms(z, delta: float):

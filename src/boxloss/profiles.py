@@ -10,12 +10,11 @@ the convex Huber and squared curves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .boxes import _IEEE, Box, _check_counts, _check_numbers, iou_array
+from .boxes import _IEEE, Box, _check_counts, _check_numbers, _check_positive, iou_array
 # Unused here; bench/worker.py's traced run replaces iou on this module by name.
 from .boxes import iou  # noqa: F401
 from .losses import _LOSSES, HuberParams, LossKind
@@ -42,7 +41,7 @@ class SweepConfig:
     x_center_start: float = 0.0
     x_center_end: float = 80.0
     num_samples: int = 161
-    delta: float = 1.0
+    delta: float = HuberParams.delta
 
     def __post_init__(self) -> None:
         _check_counts(num_samples=(self.num_samples, 2))
@@ -91,9 +90,7 @@ def sweep_mismatch(config: SweepConfig = SweepConfig(), scale: float = 1.0) -> l
     target at perfect center alignment has IoU equal to scale**2, so the IoU
     column tops out below 1 for any scale != 1.
     """
-    _check_numbers(scale=scale)
-    if scale <= 0 or not math.isfinite(scale):
-        raise ValueError(f"scale must be finite and positive, got {scale}")
+    _check_positive(scale=scale)
     pred_w = scale * config.pred_width
     pred_h = scale * config.pred_height
     xs = _grid(config.x_center_start, config.x_center_end, config.num_samples)

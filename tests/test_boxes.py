@@ -1,5 +1,6 @@
 """Box geometry: construction invariants, transforms, areas, IoU, and the
-pixel-grid oracle that cross-checks the closed form."""
+pixel-grid oracle that cross-checks the closed form; and the one check of
+the settings that must be finite and positive, at every caller."""
 
 import math
 
@@ -12,10 +13,16 @@ from boxloss import (
     Box,
     BoxBatch,
     BoxYXHW,
+    FitConfig,
+    HuberParams,
+    LossKind,
+    SweepConfig,
     area,
+    finite_diff_check,
     intersection_dims,
     iou,
     iou_pixel_oracle,
+    sweep_mismatch,
     to_yxhw,
     transform,
 )
@@ -247,3 +254,33 @@ class TestPixelOracle:
             a = Box(ax, ay, ax + aw, ay + ah)
             b = Box(bx, by, bx + bw, by + bh)
             assert abs(iou(a, b) - iou_pixel_oracle(a, b)) <= 1e-2
+
+
+# Each setting that must be finite and positive, by the name its messages
+# give it, and a call that sets it.
+_POSITIVE_SETTINGS = {
+    "delta": HuberParams,
+    "learning_rate": lambda value: FitConfig(learning_rate=value),
+    "tolerance": lambda value: finite_diff_check(LossKind.HUBER, tolerance=value),
+    "scale": lambda value: sweep_mismatch(SweepConfig(), scale=value),
+}
+
+
+@pytest.mark.parametrize("name", list(_POSITIVE_SETTINGS))
+@pytest.mark.parametrize(
+    ("value", "message"),
+    [
+        (0, "must be finite and positive, got 0"),
+        (-1.0, "must be finite and positive, got -1.0"),
+        (math.nan, "must be finite and positive, got nan"),
+        (math.inf, "must be finite and positive, got inf"),
+        (True, "must be a number, got True"),
+        ("1", "must be a number, got '1'"),
+        (10**400, "is too large for a float"),
+    ],
+    ids=["zero", "negative", "nan", "inf", "bool", "string", "huge_int"],
+)
+def test_every_positive_setting_has_one_rule(name, value, message):
+    with pytest.raises(ValueError) as exc:
+        _POSITIVE_SETTINGS[name](value)
+    assert str(exc.value) == f"{name} {message}"

@@ -652,6 +652,52 @@ class TestConfigFile:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        ("key", "value", "allowed"),
+        [
+            ("regime", "sideways", "'overlapping', 'disjoint', 'mixed'"),
+            ("optimizer", "adam", "'plain_gd', 'rmsprop_like'"),
+            ("loss", "giou", "'huber', 'squared', 'iou', 'smooth_iou'"),
+        ],
+        ids=["regime", "optimizer", "loss"],
+    )
+    def test_bad_choice_exits_2_listing_the_allowed_values(
+        self, tmp_path, capsys, key, value, allowed
+    ):
+        config = tmp_path / "fit.cfg"
+        config.write_text(f"{key} = {value}\n")
+        message = _exit_2_message(
+            capsys, ["fit", "--out", str(tmp_path / "o"), "--config", str(config)]
+        )
+        assert message == (
+            f"boxloss fit: error: {config}:1: bad value for {key}: "
+            f"{key} must be one of {allowed}, got {value!r}"
+        )
+
+    def _manifest_config(self, tmp_path, text: str, *flags) -> dict:
+        config = tmp_path / "fit.cfg"
+        config.write_text(text)
+        outdir = tmp_path / "run"
+        assert main(["fit", "--out", str(outdir), "--config", str(config), *flags]) == 0
+        return json.loads((outdir / "manifest.json").read_text())["config"]
+
+    def test_file_num_pairs_caps_the_default_batch_size(self, tmp_path):
+        config = self._manifest_config(tmp_path, "num_pairs = 3\nsteps = 2\n")
+        assert config["batch_size"] == 3
+
+    def test_file_batch_size_is_never_capped(self, tmp_path, capsys):
+        config = tmp_path / "fit.cfg"
+        config.write_text("batch_size = 16\n")
+        out = tmp_path / "o"
+        argv = ["fit", "--out", str(out), "--config", str(config), "--num-pairs", "8"]
+        message = _exit_2_message(capsys, argv)
+        assert message == "boxloss fit: error: batch_size must lie in [1, num_pairs=8], got 16"
+        assert not out.exists()
+
+    def test_batch_size_flag_beats_file(self, tmp_path):
+        text = "num_pairs = 20\nbatch_size = 16\nsteps = 2\n"
+        assert self._manifest_config(tmp_path, text, "--batch-size", "4")["batch_size"] == 4
+
 
 class TestSeedResolution:
     _TINY = ["--num-pairs", "2", "--batch-size", "2", "--steps", "2"]
@@ -684,6 +730,14 @@ class TestSeedResolution:
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--out", str(tmp_path / "e"), *self._TINY])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_env_is_not_read_when_a_source_sets_the_seed(self, tmp_path, monkeypatch, source):
+        monkeypatch.setenv("BOXLOSS_SEED", "eleven")
+        config = tmp_path / "fit.cfg"
+        config.write_text("seed = 6\n")
+        extra = ["--seed", "6"] if source == "flag" else ["--config", str(config)]
+        assert self._seed_of(tmp_path, "f", *extra) == 6
 
     @pytest.mark.parametrize(
         "argv, env, seed",
@@ -837,14 +891,28 @@ class TestRerun:
             ("fit", {"learning_rate": True}, "learning_rate must be a number, got True"),
             ("fit", {"scale_sigma": False}, "scale_sigma must be a number, got False"),
             ("profile", {"delta": True}, "delta must be a number, got True"),
-            ("profile", {"mismatch_scale": True}, "scale must be a number, got True"),
+            ("profile", {"mismatch_scale": True}, "mismatch_scale must be a number, got True"),
+            (
+                "profile",
+                {"mismatch_scale": 0},
+                "mismatch_scale must be finite and positive, got 0",
+            ),
+            ("profile", {"mismatch_scale": 10**400}, "mismatch_scale is too large for a float"),
             (
                 "profile",
                 {"deltas": [True]},
                 "deltas expects one or more numbers in a JSON list, got [True]",
             ),
         ],
-        ids=["learning_rate", "scale_sigma", "delta", "mismatch_scale", "deltas"],
+        ids=[
+            "learning_rate",
+            "scale_sigma",
+            "delta",
+            "mismatch_scale",
+            "zero_mismatch_scale",
+            "huge_mismatch_scale",
+            "deltas",
+        ],
     )
     def test_bool_float_setting_exits_2(self, tmp_path, capsys, command, config, message):
         if command == "fit":

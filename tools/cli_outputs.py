@@ -138,6 +138,12 @@ COMMANDS = [
     ("exit2_three_corner_frame", ["fit", "--out", "run", "--frame", "1,2,3"], {}),
     ("exit2_batch_over_pairs", ["fit", "--out", "run", "--num-pairs", "5", "--batch-size", "6"], {}),
     ("exit2_repeated_delta", ["profile", "--out", "p.csv", "--deltas", "1.0,1.0"], {}),
+    ("exit2_zero_mismatch_scale", ["profile", "--out", "p.csv", "--mismatch-scale", "0"], {}),
+    (
+        "exit2_config_bad_regime",
+        ["fit", "--out", "run", "--config", "fit.cfg"],
+        {"files": {"fit.cfg": "regime = sideways\n"}},
+    ),
     ("exit2_zero_samples", ["gradcheck", "--samples", "0"], {}),
     (
         "exit2_rerun_list_loss",
