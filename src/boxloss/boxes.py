@@ -78,6 +78,26 @@ def _check_positive(**values) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _store_finite(obj, *names: str) -> None:
+    """The one check of box coordinates: each named field of the frozen
+    `obj`, converted by float(), must be finite, and is stored as that float."""
+    for name in names:
+        value = float(getattr(obj, name))
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        object.__setattr__(obj, name, value)
+
+
+def _check_corners(corners: np.ndarray) -> np.ndarray:
+    """The one check of (K, 4) corner rows: the first row with a corner that
+    is not finite goes through Box, which raises its own ValueError. Callers
+    build rows that are never inverted, so Box fails only on that corner."""
+    bad = ~np.isfinite(corners).all(axis=1)
+    if bad.any():
+        Box(*corners[bad.argmax()].tolist())
+    return corners
+
+
 @dataclass(frozen=True)
 class Box:
     """Rectangle in corner form (xmin, ymin, xmax, ymax).
@@ -93,11 +113,7 @@ class Box:
     ymax: float
 
     def __post_init__(self) -> None:
-        for name in ("xmin", "ymin", "xmax", "ymax"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+        _store_finite(self, "xmin", "ymin", "xmax", "ymax")
         if self.xmax < self.xmin:
             raise ValueError(f"inverted box: xmax={self.xmax} < xmin={self.xmin}")
         if self.ymax < self.ymin:
@@ -119,8 +135,7 @@ class Box:
 
     def scaled(self, s: float) -> "Box":
         """Multiply every coordinate by s. Requires s > 0 to stay non-inverted."""
-        if s <= 0:
-            raise ValueError(f"scale factor must be positive, got {s}")
+        _check_positive(s=s)
         return Box(self.xmin * s, self.ymin * s, self.xmax * s, self.ymax * s)
 
 
@@ -134,11 +149,7 @@ class BoxYXHW:
     w: float
 
     def __post_init__(self) -> None:
-        for name in ("y1", "x1", "h", "w"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+        _store_finite(self, "y1", "x1", "h", "w")
         if self.h < 0:
             raise ValueError(f"negative height: {self.h}")
         if self.w < 0:
@@ -282,8 +293,7 @@ def iou_pixel_oracle(a: Box, b: Box, resolution: int = 100) -> float:
     separated boxes give exactly 0, and the general estimate converges at
     rate ~1/resolution.
     """
-    if resolution <= 0:
-        raise ValueError(f"resolution must be a positive integer, got {resolution}")
+    _check_counts(resolution=(resolution, 1))
     xs = _cell_centers(min(a.xmin, b.xmin), max(a.xmax, b.xmax), resolution)
     ys = _cell_centers(min(a.ymin, b.ymin), max(a.ymax, b.ymax), resolution)
 

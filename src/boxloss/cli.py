@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 I/O failure or a manifest that is not UTF-8 JSON,
 2 invalid flags or config (a value of the wrong type or count, an integer
 too large for a float, an unknown manifest key, an empty out or a profile
 out that names no file, or a count too large to allocate), 3 gradient
-check over tolerance, 4 infeasible dataset generation. `main` alone maps
-failures to these codes.
+check over tolerance, 4 infeasible dataset generation, 130 interrupted
+(SIGINT). `main` alone maps failures to these codes.
 
 Every file-producing command also writes a manifest recording the command,
 the fully resolved configuration, the seed, the tool, Python and numpy
@@ -242,7 +242,7 @@ def _execute_fit(cfg: dict) -> None:
 def _read_config_file(path: str) -> dict:
     """Flat `key = value` lines; '#' starts a comment.
 
-    Keys are FitConfig field names, with loss_kind spelled `loss`.
+    Keys are FitConfig field names, once each, with loss_kind spelled `loss`.
     """
     values: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -256,6 +256,8 @@ def _read_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected `key = value`")
             if key not in _FIT_FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: key {key!r} is repeated")
             hint = _FIT_TYPES[_FIT_FIELDS[key].name]
             try:
                 if hint is Box:
@@ -450,6 +452,9 @@ def main(argv=None) -> int:
     except _UnreadableManifest as exc:
         print(f"error: invalid manifest: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     # Bad input exits 2 under the subcommand's usage line, as do a count too
     # large to allocate and a config file that is not UTF-8 (a ValueError).
     except MemoryError as exc:

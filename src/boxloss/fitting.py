@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .boxes import _IEEE, Box, BoxBatch, _check_choice, _check_counts, _check_numbers
-from .boxes import _check_positive, iou, iou_array
+from .boxes import _check_corners, _check_positive, iou, iou_array
 from .gradients import _PAIR_GRAD
 from .losses import _LOSSES, HuberParams, LossKind, _blend_weight, _mean
 
@@ -208,17 +208,6 @@ def generate_dataset(config: FitConfig) -> BoxBatch:
     return BoxBatch(*([Box(*row) for row in rows.tolist()] for rows in (predicted, targets)))
 
 
-def _finite(corners: np.ndarray) -> np.ndarray:
-    """(K, 4) drawn corners, passed through Box's checks on the first row
-    with a corner that is not finite, so a bad draw raises Box's own
-    ValueError. Drawn boxes are never inverted: their extents are
-    non-negative and rounding is monotone."""
-    bad = ~np.isfinite(corners).all(axis=1)
-    if bad.any():
-        Box(*corners[bad.argmax()].tolist())
-    return corners
-
-
 def _draw_pairs(config: FitConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """generate_dataset's predicted and target boxes as (K, 4) corner arrays,
     and their K IoUs, which fit reads as they are.
@@ -239,7 +228,7 @@ def _draw_pairs(config: FitConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x_lo, y_lo = frame.xmin + w / 2, frame.ymin + h / 2
     cx = x_lo + ((frame.xmax - w / 2) - x_lo) * u_x
     cy = y_lo + ((frame.ymax - h / 2) - y_lo) * u_y
-    targets = _finite(np.stack((cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2), axis=1))
+    targets = _check_corners(np.stack((cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2), axis=1))
     flat = (targets[:, 2] <= targets[:, 0]) | (targets[:, 3] <= targets[:, 1])
     if flat.any():
         i = flat.argmax()
@@ -276,7 +265,8 @@ def _draw_pairs(config: FitConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 "that is not finite"
             )
         middle = centers[pending] + shift
-        drawn = _finite(np.concatenate((middle - drawn_size / 2, middle + drawn_size / 2), axis=1))
+        drawn = np.concatenate((middle - drawn_size / 2, middle + drawn_size / 2), axis=1)
+        drawn = _check_corners(drawn)
         drawn_ious = iou(drawn, targets[pending])
         kept = keeps(drawn_ious)
         predicted[pending[kept]], ious[pending[kept]] = drawn[kept], drawn_ious[kept]

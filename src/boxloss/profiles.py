@@ -14,7 +14,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .boxes import _IEEE, Box, _check_counts, _check_numbers, _check_positive, iou_array
+from .boxes import _IEEE, Box, _check_corners, _check_counts, _check_numbers, _check_positive
+from .boxes import iou_array
 # Unused here; bench/worker.py's traced run replaces iou on this module by name.
 from .boxes import iou  # noqa: F401
 from .losses import _LOSSES, HuberParams, LossKind
@@ -46,8 +47,7 @@ class SweepConfig:
     def __post_init__(self) -> None:
         _check_counts(num_samples=(self.num_samples, 2))
         _check_numbers(**{f.name: getattr(self, f.name) for f in fields(self) if f.type == "float"})
-        if self.pred_width <= 0 or self.pred_height <= 0:
-            raise ValueError("pred_width and pred_height must be positive")
+        _check_positive(pred_width=self.pred_width, pred_height=self.pred_height)
         if self.x_center_end <= self.x_center_start:
             raise ValueError("x_center_end must exceed x_center_start")
         HuberParams(self.delta)
@@ -95,9 +95,7 @@ def sweep_mismatch(config: SweepConfig = SweepConfig(), scale: float = 1.0) -> l
     pred_h = scale * config.pred_height
     xs = _grid(config.x_center_start, config.x_center_end, config.num_samples)
     y_lo, y_hi = config.y_center - pred_h / 2, config.y_center + pred_h / 2
-    pred = np.array([(x - pred_w / 2, y_lo, x + pred_w / 2, y_hi) for x in xs])
-    if not np.isfinite(pred).all():
-        raise ValueError("every sliding box corner must be finite")
+    pred = _check_corners(np.array([(x - pred_w / 2, y_lo, x + pred_w / 2, y_hi) for x in xs]))
     target = np.tile(config.target.corners(), (len(xs), 1))
     params = HuberParams(config.delta)
     v = iou_array(pred, target)

@@ -95,7 +95,7 @@ class TestBoxConstruction:
         b = Box(1.0, 2.0, 3.0, 4.0)
         assert b.scaled(2.0) == Box(2.0, 4.0, 6.0, 8.0)
         for s in (0.0, -1.0):
-            with pytest.raises(ValueError, match=r"^scale factor must be positive"):
+            with pytest.raises(ValueError, match=rf"^s must be finite and positive, got {s}$"):
                 b.scaled(s)
 
     def test_batch_requires_equal_lengths(self):
@@ -225,8 +225,15 @@ class TestPixelOracle:
 
     def test_rejects_bad_resolution(self):
         b = Box(0, 0, 1, 1)
-        with pytest.raises(ValueError):
-            iou_pixel_oracle(b, b, resolution=0)
+        for resolution, message in [
+            (0, "resolution must be >= 1, got 0"),
+            (True, "resolution must be an integer, got True"),
+            (2.5, "resolution must be an integer, got 2.5"),
+            (math.nan, "resolution must be an integer, got nan"),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                iou_pixel_oracle(b, b, resolution=resolution)
+            assert str(exc.value) == message
 
     def test_zero_extent_frame_is_one_cell_wide(self):
         # Both boxes lie on the line x = 1, so the frame has no width; one
@@ -263,6 +270,9 @@ _POSITIVE_SETTINGS = {
     "learning_rate": lambda value: FitConfig(learning_rate=value),
     "tolerance": lambda value: finite_diff_check(LossKind.HUBER, tolerance=value),
     "scale": lambda value: sweep_mismatch(SweepConfig(), scale=value),
+    "s": Box(0, 0, 1, 1).scaled,
+    "pred_width": lambda value: SweepConfig(pred_width=value),
+    "pred_height": lambda value: SweepConfig(pred_height=value),
 }
 
 

@@ -1,13 +1,19 @@
 """Command line behavior: outputs, formats, exit codes, seed resolution, and
-manifest replay. Everything runs in process through main(argv)."""
+manifest replay. Everything runs in process through main(argv), except the
+interrupt test, which sends a real SIGINT to a child process."""
 
 import argparse
 import contextlib
+import importlib.util
 import inspect
 import io
 import json
 import math
+import os
 import platform
+import signal
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -26,6 +32,8 @@ from boxloss import (
     sweep_mismatch,
 )
 from boxloss.cli import _build_parser, main
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _read(path: Path) -> list[str]:
@@ -627,6 +635,14 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--out", str(tmp_path / "o"), "--config", str(config)])
         assert exc.value.code == 2
+
+    def test_repeated_key_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "fit.cfg"
+        config.write_text("steps = 5\nsteps = 7\n")
+        out = tmp_path / "o"
+        message = _exit_2_message(capsys, ["fit", "--out", str(out), "--config", str(config)])
+        assert message == f"boxloss fit: error: {config}:2: key 'steps' is repeated"
+        assert not out.exists()
 
     def test_malformed_line_exits_2(self, tmp_path):
         config = tmp_path / "fit.cfg"
@@ -1414,7 +1430,9 @@ class TestExitCodeContract:
     @settings(max_examples=150, deadline=None)
     def test_edited_config_file_exits_with_one_line(self, edit):
         key, value = edit
-        lines = f"num_pairs = 4\nbatch_size = 4\nsteps = 3\nseed = 0\n{key} = {value}\n"
+        # The edit replaces a base line, as a config file may set a key once.
+        base = {"num_pairs": "4", "batch_size": "4", "steps": "3", "seed": "0"}
+        lines = "".join(f"{k} = {v}\n" for k, v in {**base, key: value}.items())
         argv = ["fit", "--out", "run", "--config", "fit.cfg", "--compare", "huber", "--seeds", "2"]
         _check_exit_code_contract(argv, {"fit.cfg": lines})
 
@@ -1426,6 +1444,38 @@ class TestExitCodeContract:
     def test_edited_flag_exits_with_one_line(self, edit):
         command, flag, value = edit
         _check_exit_code_contract([*_FLAG_RUNS[command], f"{flag}={value}"], {})
+
+
+def test_interrupted_fit_exits_130_with_one_line(tmp_path):
+    """SIGINT during a fit's steps: exit 130, one stderr line, no traceback.
+    The child prints `ready` once its dataset is drawn, inside main."""
+    child_code = (
+        "import sys\n"
+        "from boxloss import cli, fitting\n"
+        "draw = fitting._draw_pairs\n"
+        "def draw_then_say_ready(config):\n"
+        "    pairs = draw(config)\n"
+        "    print('ready', flush=True)\n"
+        "    return pairs\n"
+        "fitting._draw_pairs = draw_then_say_ready\n"
+        "sys.exit(cli.main(['fit', '--out', 'run', '--steps', '100000000']))\n"
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-c", child_code],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(_ROOT / "src")},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert child.stdout.readline() == "ready\n"
+        child.send_signal(signal.SIGINT)
+        _, stderr = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        child.wait()
+    assert (child.returncode, stderr) == (130, "error: interrupted\n")
 
 
 class TestDeterminism:
@@ -1489,3 +1539,35 @@ class TestDeterminism:
             assert all(cell == repr(float(cell)) for cell in cells[1:4])
         assert manifest["outputs"][-1] == str(run / "summary.csv")
         assert len(manifest["outputs"]) == 5
+
+    def test_every_output_byte_matches_the_digest_table(self, tmp_path, monkeypatch):
+        """Each file that tools/cli_outputs.py's commands produce, under this
+        tree, has the sha256 that tests/cli_digests.json records for it.
+
+        The table is made under one boxloss version, and a change to the
+        output bytes needs a new one, so the test fails when the table names
+        another version. It pins one Python, one numpy and one machine class:
+        gradcheck's sampler draws its size jitter through np.exp, whose last
+        bits can follow the CPU's SIMD dispatch. On another Python or numpy
+        the test skips and names both. To remake the table, run
+        `python3 tools/cli_outputs.py src OUT` and copy OUT/digests.json.
+        """
+        table = json.loads((_ROOT / "tests" / "cli_digests.json").read_text(encoding="utf-8"))
+        assert table["version"] == __version__, (
+            f"tests/cli_digests.json is for boxloss {table['version']}, this is {__version__}"
+        )
+        here = {"python": platform.python_version(), "numpy": np.__version__}
+        if {key: table[key] for key in here} != here:
+            pytest.skip(
+                f"digests were made with python {table['python']} and numpy {table['numpy']}, "
+                f"this is python {here['python']} and numpy {here['numpy']}"
+            )
+        tool_path = _ROOT / "tools" / "cli_outputs.py"
+        spec = importlib.util.spec_from_file_location("cli_outputs", tool_path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        # run_all puts src first on sys.path; the copy is restored afterwards.
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        files = tool.run_all(_ROOT / "src", tmp_path / "out")["files"]
+        for path in sorted(files.keys() | table["files"].keys()):
+            assert files.get(path) == table["files"].get(path), f"{path} differs from the table"

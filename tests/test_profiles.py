@@ -210,7 +210,7 @@ class TestMismatch:
         with pytest.raises(ValueError):
             sweep_mismatch(scale=math.inf)
         # A finite scale whose sliding box's corners overflow to infinity.
-        with pytest.raises(ValueError, match=r"^every sliding box corner must be finite$"):
+        with pytest.raises(ValueError, match=r"^xmin must be finite, got -inf$"):
             sweep_mismatch(SweepConfig(), scale=1e308)
 
 

@@ -2,26 +2,42 @@
 
     python3 tools/cli_outputs.py SRC OUT
 
-Each command runs as `python3 -m boxloss.cli ...` with PYTHONPATH=SRC, in its
-own new directory OUT/<name>. Beside the files the command writes, that
-directory gets `cmd.argv` (the arguments, one per line), `cmd.stdout`,
-`cmd.stderr` and `cmd.exit` (the exit code). Two source trees give the same
-bytes on this list when `diff -r OUT_A OUT_B` prints nothing.
+The commands run in this process, through `boxloss.cli.main`, with boxloss
+imported from SRC; the tool refuses to run when it finds boxloss anywhere
+else. Each command runs in its own new directory OUT/<name>, with
+BOXLOSS_SEED unset unless the command sets it, and with COLUMNS at 80, the
+width argparse wraps a usage line at when its output is not a terminal.
+Beside the files the command writes, that directory gets `cmd.argv` (the
+arguments, one per line), `cmd.stdout`, `cmd.stderr` and `cmd.exit` (the
+exit code: main's return value, or the code of the SystemExit it raised).
+Two source trees give the same bytes on this list when `diff -r OUT_A OUT_B`
+prints nothing.
+
+OUT/digests.json holds one sha256 per file under OUT/<name>, keyed by its
+path there, and the boxloss `version`, `python` and `numpy` it was made
+with. A manifest is hashed without its `python` and `numpy` lines, the one
+part of the bytes that names the machine. tests/cli_digests.json is a copy
+of that table, which a tier-1 test checks; after a change to the output
+bytes, which needs a new boxloss version, copy it there again.
 
 A `rerun` command first gets a copy of an earlier command's manifest, at the
-same relative path, and replays it in its own directory. BOXLOSS_SEED is
-unset for every command that does not set it here. OUT must not exist yet.
+same relative path, and replays it in its own directory. OUT must not exist
+yet.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import importlib
+import io
 import json
 import os
 import shutil
-import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 # Criterion 7: huber against smooth_iou on matched data, 20 seeds.
 _CRITERION_7 = [
@@ -34,29 +50,33 @@ _CONFIG_FILE = (
     "num_pairs = 12\nbatch_size = 5\nsteps = 40\nloss = huber\n"
     "optimizer = plain_gd\nlearning_rate = 0.2\n"
 )
-# A fit manifest of format 0.2.0 whose loss is a JSON list: rerun exits 2
-# naming the setting. Its version must be the one under test, or rerun
-# refuses the manifest for that first.
-_BAD_LOSS_MANIFEST = json.dumps(
-    {
-        "command": "fit",
-        "config": {
-            "batch_size": 4, "compare": None, "delta": 1.0, "frame": [0.0, 0.0, 100.0, 100.0],
-            "learning_rate": 0.05, "loss": [], "momentum_or_decay": 0.9, "num_pairs": 4,
-            "num_seeds": 1, "optimizer": "rmsprop_like", "out": "run", "regime": "mixed",
-            "scale_sigma": 0.1, "seed": 1, "steps": 3, "target_size_max": 20.0,
-            "target_size_min": 5.0, "translation_sigma": 0.3,
+# A fit manifest whose loss is a JSON list: rerun exits 2 naming the
+# setting. Its version is the one under test, or rerun would refuse the
+# manifest for that first.
+def _bad_loss_manifest(version: str) -> str:
+    return json.dumps(
+        {
+            "command": "fit",
+            "config": {
+                "batch_size": 4, "compare": None, "delta": 1.0,
+                "frame": [0.0, 0.0, 100.0, 100.0], "learning_rate": 0.05, "loss": [],
+                "momentum_or_decay": 0.9, "num_pairs": 4, "num_seeds": 1,
+                "optimizer": "rmsprop_like", "out": "run", "regime": "mixed",
+                "scale_sigma": 0.1, "seed": 1, "steps": 3, "target_size_max": 20.0,
+                "target_size_min": 5.0, "translation_sigma": 0.3,
+            },
+            "outputs": [],
+            "seed": 1,
+            "version": version,
         },
-        "outputs": [],
-        "seed": 1,
-        "version": "0.2.0",
-    },
-    indent=2,
-)
+        indent=2,
+    )
+
 
 # (name, argv, extras): extras may give "env" (variables to set), "files"
-# (name -> text, written before the run) or "manifest" ((command name,
-# manifest path) to copy from an earlier command's directory).
+# (name -> text, or a function of the boxloss version that returns it,
+# written before the run) or "manifest" ((command name, manifest path) to
+# copy from an earlier command's directory).
 COMMANDS = [
     ("criterion7_fit", _CRITERION_7, {}),
     ("criterion8_profile", ["profile", "--out", "sweep.csv", "--deltas", "1.0,2.0"], {}),
@@ -139,16 +159,23 @@ COMMANDS = [
     ("exit2_batch_over_pairs", ["fit", "--out", "run", "--num-pairs", "5", "--batch-size", "6"], {}),
     ("exit2_repeated_delta", ["profile", "--out", "p.csv", "--deltas", "1.0,1.0"], {}),
     ("exit2_zero_mismatch_scale", ["profile", "--out", "p.csv", "--mismatch-scale", "0"], {}),
+    # A finite scale whose sliding box's corners overflow to infinity.
+    ("exit2_huge_mismatch_scale", ["profile", "--out", "p.csv", "--mismatch-scale", "1e308"], {}),
     (
         "exit2_config_bad_regime",
         ["fit", "--out", "run", "--config", "fit.cfg"],
         {"files": {"fit.cfg": "regime = sideways\n"}},
     ),
+    (
+        "exit2_config_repeated_key",
+        ["fit", "--out", "run", "--config", "fit.cfg"],
+        {"files": {"fit.cfg": "steps = 5\nsteps = 7\n"}},
+    ),
     ("exit2_zero_samples", ["gradcheck", "--samples", "0"], {}),
     (
         "exit2_rerun_list_loss",
         ["rerun", "manifest.json"],
-        {"files": {"manifest.json": _BAD_LOSS_MANIFEST}},
+        {"files": {"manifest.json": _bad_loss_manifest}},
     ),
     (
         "exit4_infeasible",
@@ -161,32 +188,78 @@ COMMANDS = [
 ]
 
 
-def run_all(src: Path, out: Path) -> None:
+def _import_cli(src: Path):
+    """boxloss.cli, imported from `src`: the tree whose bytes are kept."""
+    sys.path.insert(0, str(src))
+    cli = importlib.import_module("boxloss.cli")
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        raise RuntimeError(f"boxloss is imported from {cli.__file__}, not from {src}")
+    return cli
+
+
+def _run(main, argv: list[str], workdir: Path, env: dict) -> tuple[object, str, str]:
+    """main(argv) run in `workdir`, with BOXLOSS_SEED unset, COLUMNS at 80
+    and then `env` set: its exit code, stdout and stderr. The working
+    directory and the environment are restored afterwards."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.chdir(workdir):
+        os.environ.pop("BOXLOSS_SEED", None)
+        os.environ.update(COLUMNS="80", **env)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _digest(path: Path) -> str:
+    """sha256 of a file's bytes; of a manifest's without its python and
+    numpy lines."""
+    data = path.read_bytes()
+    if path.name.endswith("manifest.json"):
+        lines = data.splitlines(keepends=True)
+        data = b"".join(
+            line for line in lines if not line.startswith((b'  "python": ', b'  "numpy": '))
+        )
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_all(src: Path, out: Path) -> dict:
+    """Run every command of COMMANDS into OUT/<name>, write OUT/digests.json
+    and return its table."""
+    src = src.resolve()
+    cli = _import_cli(src)
+    version = cli.__version__
     out.mkdir(parents=True)
-    base_env = {key: value for key, value in os.environ.items() if key != "BOXLOSS_SEED"}
-    base_env["PYTHONPATH"] = str(src.resolve())
     for name, argv, extras in COMMANDS:
         workdir = out / name
         workdir.mkdir()
         for file_name, text in extras.get("files", {}).items():
+            text = text(version) if callable(text) else text
             (workdir / file_name).write_text(text, encoding="utf-8")
         if "manifest" in extras:
             source, manifest = extras["manifest"]
             (workdir / manifest).parent.mkdir(parents=True, exist_ok=True)
             shutil.copyfile(out / source / manifest, workdir / manifest)
         started = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "boxloss.cli", *argv],
-            cwd=workdir,
-            env={**base_env, **extras.get("env", {})},
-            capture_output=True,
-            timeout=600,
-        )
+        code, stdout, stderr = _run(cli.main, argv, workdir, extras.get("env", {}))
         (workdir / "cmd.argv").write_text("\n".join(argv) + "\n", encoding="utf-8")
-        (workdir / "cmd.stdout").write_bytes(proc.stdout)
-        (workdir / "cmd.stderr").write_bytes(proc.stderr)
-        (workdir / "cmd.exit").write_text(f"{proc.returncode}\n", encoding="utf-8")
-        print(f"{name}: exit {proc.returncode} in {time.perf_counter() - started:.2f} s")
+        (workdir / "cmd.stdout").write_text(stdout, encoding="utf-8")
+        (workdir / "cmd.stderr").write_text(stderr, encoding="utf-8")
+        (workdir / "cmd.exit").write_text(f"{code}\n", encoding="utf-8")
+        print(f"{name}: exit {code} in {time.perf_counter() - started:.2f} s")
+    files = {
+        path.relative_to(out).as_posix(): _digest(path)
+        for name, _, _ in COMMANDS
+        for path in sorted((out / name).rglob("*"))
+        if path.is_file()
+    }
+    table = {"version": version, **cli._ENVIRONMENT, "files": files}
+    with open(out / "digests.json", "w", encoding="utf-8", newline="") as fh:
+        json.dump(table, fh, indent=2)
+        fh.write("\n")
+    return table
 
 
 def main(argv: list[str]) -> int:
