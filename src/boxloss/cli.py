@@ -167,7 +167,10 @@ def _execute_profile(cfg: dict) -> None:
 
 
 def _cmd_profile(args) -> int:
+    if args.delta is not None and args.deltas is not None:
+        raise ValueError("--delta and --deltas cannot be combined")
     cfg = {key: getattr(args, key) for key in _REPLAY["profile"][0]}
+    cfg["delta"] = SweepConfig.delta if args.delta is None else args.delta
     if args.deltas is not None:
         cfg["deltas"] = _items("--deltas", args.deltas, float, text=True)
     _execute_profile(cfg)
@@ -272,8 +275,10 @@ def _read_config_file(path: str) -> dict:
 
 
 def _cmd_fit(args) -> int:
+    if args.loss is not None and args.compare is not None:
+        raise ValueError("--loss and --compare cannot be combined")
     # The settings the config file gives, then those the flags give: a flag
-    # beats the file, and both beat the defaults.
+    # beats the file (--compare beats its loss), and both beat the defaults.
     given = {} if args.config is None else _read_config_file(args.config)
     flags = vars(args)
     given.update({key: flags[key] for key in _FIT_FLAGS if flags[key] is not None})
@@ -374,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="write sliding-box loss profiles as CSV")
     p.set_defaults(run=_cmd_profile, parser=p)
     p.add_argument("--out", required=True, help="output CSV path (or stem for --deltas)")
-    p.add_argument("--delta", type=float, default=SweepConfig.delta, help="Huber threshold")
+    p.add_argument("--delta", type=float, default=None, help="Huber threshold")
     p.add_argument(
         "--mismatch-scale",
         type=float,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .boxes import _IEEE, Box, _check_corners, _check_counts, _check_numbers, _check_positive
-from .boxes import iou_array
+from .boxes import _store_finite, iou_array
 # Unused here; bench/worker.py's traced run replaces iou on this module by name.
 from .boxes import iou  # noqa: F401
 from .losses import _LOSSES, HuberParams, LossKind
@@ -47,9 +47,12 @@ class SweepConfig:
     def __post_init__(self) -> None:
         _check_counts(num_samples=(self.num_samples, 2))
         _check_numbers(**{f.name: getattr(self, f.name) for f in fields(self) if f.type == "float"})
+        _store_finite(self, "y_center", "x_center_start", "x_center_end")
         _check_positive(pred_width=self.pred_width, pred_height=self.pred_height)
         if self.x_center_end <= self.x_center_start:
             raise ValueError("x_center_end must exceed x_center_start")
+        if not np.isfinite(self.x_center_end - self.x_center_start):
+            raise ValueError("x_center_end - x_center_start must be finite")
         HuberParams(self.delta)
 
 
@@ -64,13 +67,6 @@ class SweepRow:
 
 
 _ROW_COLUMNS = tuple(f.name for f in fields(SweepRow) if f.name != "x_center")
-
-
-def _grid(start: float, end: float, n: int) -> list[float]:
-    step = (end - start) / (n - 1)
-    xs = [start + i * step for i in range(n)]
-    xs[-1] = end
-    return xs
 
 
 def sweep(config: SweepConfig = SweepConfig()) -> list[SweepRow]:
@@ -93,16 +89,19 @@ def sweep_mismatch(config: SweepConfig = SweepConfig(), scale: float = 1.0) -> l
     _check_positive(scale=scale)
     pred_w = scale * config.pred_width
     pred_h = scale * config.pred_height
-    xs = _grid(config.x_center_start, config.x_center_end, config.num_samples)
-    y_lo, y_hi = config.y_center - pred_h / 2, config.y_center + pred_h / 2
-    pred = _check_corners(np.array([(x - pred_w / 2, y_lo, x + pred_w / 2, y_hi) for x in xs]))
-    target = np.tile(config.target.corners(), (len(xs), 1))
+    start, end, n = config.x_center_start, config.x_center_end, config.num_samples
+    xs = start + np.arange(n) * ((end - start) / (n - 1))
+    xs[-1] = end
+    y = np.full(n, config.y_center)
+    corners = (xs - pred_w / 2, y - pred_h / 2, xs + pred_w / 2, y + pred_h / 2)
+    pred = _check_corners(np.stack(corners, axis=1))
+    target = np.tile(config.target.corners(), (n, 1))
     params = HuberParams(config.delta)
     v = iou_array(pred, target)
     # Each row is a batch of one, so every kind's lam is the row's IoU. The
     # loss columns follow LossKind's order: huber, squared, iou, smooth_iou.
     losses = [_LOSSES[kind](pred, target, v, v, params).tolist() for kind in LossKind]
-    return [SweepRow(*row) for row in zip(xs, *losses, v.tolist())]
+    return [SweepRow(*row) for row in zip(xs.tolist(), *losses, v.tolist())]
 
 
 def _check_deltas(deltas) -> None:

@@ -145,6 +145,14 @@ class TestProfileCommand:
                 main(argv)
             assert exc.value.code == 2
 
+    def test_delta_with_deltas_exits_2(self, tmp_path, capsys):
+        # --deltas would run without the one --delta, which the manifest
+        # would still record.
+        argv = ["profile", "--out", str(tmp_path / "p.csv"), "--delta", "3", "--deltas", "1,2"]
+        message = _exit_2_message(capsys, argv)
+        assert message == "boxloss profile: error: --delta and --deltas cannot be combined"
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_path_exits_1(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert main(["profile", "--out", str(missing)]) == 1
@@ -506,6 +514,24 @@ class TestFitCommand:
         message = _exit_2_message(capsys, [*argv, "--steps", "1"])
         assert message == f"boxloss fit: error: out of memory: {text}"
         assert not out.exists()
+
+    def test_loss_with_compare_exits_2(self, tmp_path, capsys):
+        # --compare would run its kinds without the --loss kind, which the
+        # manifest would still record.
+        argv = ["fit", "--out", str(tmp_path / "run"), "--loss", "huber", "--compare", "iou"]
+        message = _exit_2_message(capsys, argv)
+        assert message == "boxloss fit: error: --loss and --compare cannot be combined"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_compare_beats_a_config_file_loss(self, tmp_path):
+        config = tmp_path / "fit.cfg"
+        config.write_text("loss = squared\n")
+        outdir = self._run(tmp_path, "--config", str(config), "--compare", "huber", "--seeds", "1")
+        assert sorted(path.name for path in outdir.glob("trajectory_*")) == [
+            "trajectory_huber_seed0.csv"
+        ]
+        config = json.loads((outdir / "manifest.json").read_text())["config"]
+        assert (config["loss"], config["compare"]) == ("squared", ["huber"])
 
     def test_compare_defaults_to_compare_losses_seed_count(self, tmp_path):
         outdir = self._run(tmp_path, "--compare", "huber")
@@ -1562,12 +1588,25 @@ class TestDeterminism:
                 f"digests were made with python {table['python']} and numpy {table['numpy']}, "
                 f"this is python {here['python']} and numpy {here['numpy']}"
             )
-        tool_path = _ROOT / "tools" / "cli_outputs.py"
-        spec = importlib.util.spec_from_file_location("cli_outputs", tool_path)
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
         # run_all puts src first on sys.path; the copy is restored afterwards.
         monkeypatch.setattr(sys, "path", list(sys.path))
-        files = tool.run_all(_ROOT / "src", tmp_path / "out")["files"]
+        files = _output_tool().run_all(_ROOT / "src", tmp_path / "out")["files"]
         for path in sorted(files.keys() | table["files"].keys()):
             assert files.get(path) == table["files"].get(path), f"{path} differs from the table"
+
+    def test_output_tool_refuses_an_existing_out(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert _output_tool().main([str(_ROOT / "src"), str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: OUT {str(out)!r} already exists\n"
+        assert captured.out == "" and list(out.iterdir()) == []
+
+
+def _output_tool():
+    """tools/cli_outputs.py, loaded as a module."""
+    tool_path = _ROOT / "tools" / "cli_outputs.py"
+    spec = importlib.util.spec_from_file_location("cli_outputs", tool_path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool

@@ -2,6 +2,7 @@
 the scale-mismatch law, the delta study, and the convexity scanner."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -354,6 +355,29 @@ class TestConfigValidation:
         # Checked as a number before it is compared.
         with pytest.raises(ValueError, match=r"^x_center_end must be a number, got None$"):
             SweepConfig(x_center_end=None)
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"x_center_end": math.nan}, "x_center_end must be finite, got nan"),
+            ({"y_center": math.inf}, "y_center must be finite, got inf"),
+            ({"x_center_start": -math.inf}, "x_center_start must be finite, got -inf"),
+            # Both ends are finite, but the grid step would overflow.
+            (
+                {"x_center_start": -1e308, "x_center_end": 1e308},
+                "x_center_end - x_center_start must be finite",
+            ),
+        ],
+    )
+    def test_rejects_a_center_or_span_that_is_not_finite(self, settings, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepConfig(**settings)
+
+    def test_integer_centers_are_stored_as_floats(self):
+        config = SweepConfig(y_center=40, x_center_start=0, x_center_end=80)
+        assert (config.y_center, config.x_center_start, config.x_center_end) == (40.0, 0.0, 80.0)
+        last = sweep(config)[-1].x_center
+        assert type(last) is float and last == 80.0
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):

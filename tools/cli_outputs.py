@@ -21,8 +21,8 @@ of that table, which a tier-1 test checks; after a change to the output
 bytes, which needs a new boxloss version, copy it there again.
 
 A `rerun` command first gets a copy of an earlier command's manifest, at the
-same relative path, and replays it in its own directory. OUT must not exist
-yet.
+same relative path, with any config keys the command edits, and replays it
+in its own directory. OUT must not exist yet; the tool exits 2 if it does.
 """
 
 from __future__ import annotations
@@ -50,33 +50,10 @@ _CONFIG_FILE = (
     "num_pairs = 12\nbatch_size = 5\nsteps = 40\nloss = huber\n"
     "optimizer = plain_gd\nlearning_rate = 0.2\n"
 )
-# A fit manifest whose loss is a JSON list: rerun exits 2 naming the
-# setting. Its version is the one under test, or rerun would refuse the
-# manifest for that first.
-def _bad_loss_manifest(version: str) -> str:
-    return json.dumps(
-        {
-            "command": "fit",
-            "config": {
-                "batch_size": 4, "compare": None, "delta": 1.0,
-                "frame": [0.0, 0.0, 100.0, 100.0], "learning_rate": 0.05, "loss": [],
-                "momentum_or_decay": 0.9, "num_pairs": 4, "num_seeds": 1,
-                "optimizer": "rmsprop_like", "out": "run", "regime": "mixed",
-                "scale_sigma": 0.1, "seed": 1, "steps": 3, "target_size_max": 20.0,
-                "target_size_min": 5.0, "translation_sigma": 0.3,
-            },
-            "outputs": [],
-            "seed": 1,
-            "version": version,
-        },
-        indent=2,
-    )
-
-
 # (name, argv, extras): extras may give "env" (variables to set), "files"
-# (name -> text, or a function of the boxloss version that returns it,
-# written before the run) or "manifest" ((command name, manifest path) to
-# copy from an earlier command's directory).
+# (name -> text, written before the run), "manifest" ((command name,
+# manifest path) to copy from an earlier command's directory) and "config"
+# (key -> value, set in that copy's config).
 COMMANDS = [
     ("criterion7_fit", _CRITERION_7, {}),
     ("criterion8_profile", ["profile", "--out", "sweep.csv", "--deltas", "1.0,2.0"], {}),
@@ -172,10 +149,23 @@ COMMANDS = [
         {"files": {"fit.cfg": "steps = 5\nsteps = 7\n"}},
     ),
     ("exit2_zero_samples", ["gradcheck", "--samples", "0"], {}),
+    # Flag pairs where one flag would be dropped.
+    (
+        "exit2_loss_with_compare",
+        ["fit", "--out", "run", "--loss", "huber", "--compare", "iou,smooth_iou"],
+        {},
+    ),
+    (
+        "exit2_delta_with_deltas",
+        ["profile", "--out", "p.csv", "--delta", "3", "--deltas", "1,2"],
+        {},
+    ),
+    # A fit manifest whose loss is a JSON list: rerun exits 2 naming the
+    # setting, and writes nothing.
     (
         "exit2_rerun_list_loss",
-        ["rerun", "manifest.json"],
-        {"files": {"manifest.json": _bad_loss_manifest}},
+        ["rerun", "fitrun/manifest.json"],
+        {"manifest": ("criterion8_fit", "fitrun/manifest.json"), "config": {"loss": []}},
     ),
     (
         "exit4_infeasible",
@@ -230,18 +220,23 @@ def run_all(src: Path, out: Path) -> dict:
     and return its table."""
     src = src.resolve()
     cli = _import_cli(src)
-    version = cli.__version__
     out.mkdir(parents=True)
     for name, argv, extras in COMMANDS:
         workdir = out / name
         workdir.mkdir()
         for file_name, text in extras.get("files", {}).items():
-            text = text(version) if callable(text) else text
             (workdir / file_name).write_text(text, encoding="utf-8")
         if "manifest" in extras:
             source, manifest = extras["manifest"]
             (workdir / manifest).parent.mkdir(parents=True, exist_ok=True)
             shutil.copyfile(out / source / manifest, workdir / manifest)
+            if "config" in extras:
+                # Written as boxloss writes a manifest, so that _digest can
+                # leave out its python and numpy lines.
+                recorded = json.loads((workdir / manifest).read_text(encoding="utf-8"))
+                recorded["config"].update(extras["config"])
+                text = json.dumps(recorded, indent=2, sort_keys=True) + "\n"
+                (workdir / manifest).write_text(text, encoding="utf-8")
         started = time.perf_counter()
         code, stdout, stderr = _run(cli.main, argv, workdir, extras.get("env", {}))
         (workdir / "cmd.argv").write_text("\n".join(argv) + "\n", encoding="utf-8")
@@ -255,7 +250,7 @@ def run_all(src: Path, out: Path) -> dict:
         for path in sorted((out / name).rglob("*"))
         if path.is_file()
     }
-    table = {"version": version, **cli._ENVIRONMENT, "files": files}
+    table = {"version": cli.__version__, **cli._ENVIRONMENT, "files": files}
     with open(out / "digests.json", "w", encoding="utf-8", newline="") as fh:
         json.dump(table, fh, indent=2)
         fh.write("\n")
@@ -265,6 +260,9 @@ def run_all(src: Path, out: Path) -> dict:
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/cli_outputs.py SRC OUT", file=sys.stderr)
+        return 2
+    if Path(argv[1]).exists():
+        print(f"error: OUT {argv[1]!r} already exists", file=sys.stderr)
         return 2
     started = time.perf_counter()
     run_all(Path(argv[0]), Path(argv[1]))
