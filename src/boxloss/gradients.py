@@ -151,6 +151,7 @@ def grad_smooth_iou(
     grad_huber with that frozen weight. An all-disjoint batch therefore
     reproduces grad_huber bitwise.
     """
+    _check_counts(k=(k, -np.inf))
     if not 0 <= k < len(batch):
         raise IndexError(f"example index {k} out of range for batch of {len(batch)}")
     pred, target = batch.arrays()

@@ -92,6 +92,11 @@ def sweep_mismatch(config: SweepConfig = SweepConfig(), scale: float = 1.0) -> l
     start, end, n = config.x_center_start, config.x_center_end, config.num_samples
     xs = start + np.arange(n) * ((end - start) / (n - 1))
     xs[-1] = end
+    if not (xs[1:] > xs[:-1]).all():
+        raise ValueError(
+            f"x_center_start={start!r} and x_center_end={end!r} are too close "
+            f"for num_samples={n} distinct grid points"
+        )
     y = np.full(n, config.y_center)
     corners = (xs - pred_w / 2, y - pred_h / 2, xs + pred_w / 2, y + pred_h / 2)
     pred = _check_corners(np.stack(corners, axis=1))

@@ -826,8 +826,8 @@ class TestSeedResolution:
 _BAD_DELTAS = [False, 0, "", {}, [], "smooth_iou", [1.0, "x"]]
 _BAD_COMPARES = [False, [], "huber"]
 
-# Small valid replayable configs, one key of which the malformed-manifest
-# rows and the fuzz below edit.
+# Small valid replayable configs, which the malformed-manifest rows and the
+# fuzz below edit.
 _REPLAYABLE = {
     "fit": {
         "batch_size": 4,
@@ -922,6 +922,13 @@ class TestRerun:
         assert main(["fit", "--out", str(outdir), "--compare", "huber", *argv]) == 0
         return outdir / "manifest.json"
 
+    def _run(self, tmp_path, command: str) -> Path:
+        """The manifest of a small valid run of command."""
+        if command == "fit":
+            return self._fit(tmp_path)
+        assert main(["profile", "--out", str(tmp_path / "p.csv"), "--samples", "21"]) == 0
+        return tmp_path / "p.manifest.json"
+
     @pytest.mark.parametrize("key", ["num_pairs", "steps", "seed", "batch_size", "num_seeds"])
     def test_bool_count_or_seed_exits_2(self, tmp_path, capsys, key):
         message = _replay_edited(capsys, self._fit(tmp_path), **{key: True})
@@ -957,11 +964,7 @@ class TestRerun:
         ],
     )
     def test_bool_float_setting_exits_2(self, tmp_path, capsys, command, config, message):
-        if command == "fit":
-            manifest_path = self._fit(tmp_path)
-        else:
-            assert main(["profile", "--out", str(tmp_path / "p.csv"), "--samples", "21"]) == 0
-            manifest_path = tmp_path / "p.manifest.json"
+        manifest_path = self._run(tmp_path, command)
         assert _replay_edited(capsys, manifest_path, **config) == f"boxloss rerun: error: {message}"
         assert not (tmp_path / "p_delta1.0.csv").exists()
 
@@ -989,11 +992,7 @@ class TestRerun:
     @pytest.mark.parametrize("key", ["python", "numpy"])
     @pytest.mark.parametrize("command", ["fit", "profile"])
     def test_other_python_or_numpy_warns_and_replays(self, tmp_path, capsys, command, key):
-        if command == "fit":
-            manifest_path = self._fit(tmp_path)
-        else:
-            assert main(["profile", "--out", str(tmp_path / "p.csv"), "--samples", "21"]) == 0
-            manifest_path = tmp_path / "p.manifest.json"
+        manifest_path = self._run(tmp_path, command)
         manifest = json.loads(manifest_path.read_text())
         before = self._snapshot(manifest["outputs"])
         for path in manifest["outputs"]:
@@ -1051,224 +1050,33 @@ class TestRerun:
                 {"command": "profile", "config": {"out": "p.csv", "delta": 1.0}},
                 "manifest config lacks",
             ),
+            (_manifest("profile", samples="11"), "num_samples must be an integer, got '11'"),
             (
-                {
-                    "command": "profile",
-                    "config": {
-                        "out": "p.csv",
-                        "delta": 1.0,
-                        "mismatch_scale": 1.0,
-                        "samples": "11",
-                        "deltas": None,
-                    },
-                    "version": __version__,
-                },
-                "num_samples must be an integer, got '11'",
-            ),
-            (
-                {
-                    "command": "fit",
-                    "config": {
-                        "batch_size": 4,
-                        "compare": None,
-                        "delta": 1.0,
-                        "frame": [0.0, 0.0, 100.0],
-                        "learning_rate": 0.05,
-                        "loss": "smooth_iou",
-                        "momentum_or_decay": 0.9,
-                        "num_pairs": 4,
-                        "num_seeds": 1,
-                        "optimizer": "rmsprop_like",
-                        "out": "p.csv",
-                        "regime": "mixed",
-                        "scale_sigma": 0.1,
-                        "seed": 0,
-                        "steps": 2,
-                        "target_size_max": 20.0,
-                        "target_size_min": 5.0,
-                        "translation_sigma": 0.3,
-                    },
-                    "version": __version__,
-                },
+                _manifest("fit", frame=[0.0, 0.0, 100.0]),
                 "frame expects 4 numbers in a JSON list, got [0.0, 0.0, 100.0]",
             ),
+            ({**_manifest("profile"), "version": "0.0.0"}, "is from boxloss"),
+            (_manifest("profile", out=5), "out must be a non-empty string, got 5"),
+            (_manifest("fit", batch_size=2.5), "batch_size must be an integer"),
+            (_manifest("fit", scale_sigma=1e308), "scale_sigma"),
             (
-                {
-                    "command": "profile",
-                    "config": {
-                        "out": "p.csv",
-                        "delta": 1.0,
-                        "mismatch_scale": 1.0,
-                        "samples": 11,
-                        "deltas": None,
-                    },
-                    "version": "0.0.0",
-                },
-                "is from boxloss",
-            ),
-            (
-                {
-                    "command": "profile",
-                    "config": {
-                        "out": 5,
-                        "delta": 1.0,
-                        "mismatch_scale": 1.0,
-                        "samples": 11,
-                        "deltas": None,
-                    },
-                    "version": __version__,
-                },
-                "out must be a non-empty string, got 5",
-            ),
-            (
-                {
-                    "command": "fit",
-                    "config": {
-                        "batch_size": 2.5,
-                        "compare": None,
-                        "delta": 1.0,
-                        "frame": [0.0, 0.0, 100.0, 100.0],
-                        "learning_rate": 0.05,
-                        "loss": "smooth_iou",
-                        "momentum_or_decay": 0.9,
-                        "num_pairs": 4,
-                        "num_seeds": 1,
-                        "optimizer": "rmsprop_like",
-                        "out": "p.csv",
-                        "regime": "mixed",
-                        "scale_sigma": 0.1,
-                        "seed": 0,
-                        "steps": 3,
-                        "target_size_max": 20.0,
-                        "target_size_min": 5.0,
-                        "translation_sigma": 0.3,
-                    },
-                    "version": __version__,
-                },
-                "batch_size must be an integer",
-            ),
-            (
-                {
-                    "command": "fit",
-                    "config": {
-                        "batch_size": 4,
-                        "compare": None,
-                        "delta": 1.0,
-                        "frame": [0.0, 0.0, 100.0, 100.0],
-                        "learning_rate": 0.05,
-                        "loss": "smooth_iou",
-                        "momentum_or_decay": 0.9,
-                        "num_pairs": 4,
-                        "num_seeds": 1,
-                        "optimizer": "rmsprop_like",
-                        "out": "p.csv",
-                        "regime": "mixed",
-                        "scale_sigma": 1e308,
-                        "seed": 0,
-                        "steps": 2,
-                        "target_size_max": 20.0,
-                        "target_size_min": 5.0,
-                        "translation_sigma": 0.3,
-                    },
-                    "version": __version__,
-                },
-                "scale_sigma",
-            ),
-            (
-                {
-                    "command": "fit",
-                    "config": {
-                        "batch_size": 4,
-                        "compare": None,
-                        "delta": 1.0,
-                        "frame": [-1e308, 0.0, 1e308, 100.0],
-                        "learning_rate": 0.05,
-                        "loss": "smooth_iou",
-                        "momentum_or_decay": 0.9,
-                        "num_pairs": 4,
-                        "num_seeds": 1,
-                        "optimizer": "rmsprop_like",
-                        "out": "p.csv",
-                        "regime": "mixed",
-                        "scale_sigma": 0.1,
-                        "seed": 0,
-                        "steps": 2,
-                        "target_size_max": 20.0,
-                        "target_size_min": 5.0,
-                        "translation_sigma": 0.3,
-                    },
-                    "version": __version__,
-                },
+                _manifest("fit", frame=[-1e308, 0.0, 1e308, 100.0]),
                 "frame width and height must be finite",
             ),
             (
-                {
-                    "command": "fit",
-                    "config": {
-                        "batch_size": 4,
-                        "compare": None,
-                        "delta": 1.0,
-                        "frame": [-783.8800084129549, 0.0, 857.0542798774925, 2000.0],
-                        "learning_rate": 0.05,
-                        "loss": "smooth_iou",
-                        "momentum_or_decay": 0.9,
-                        "num_pairs": 4,
-                        "num_seeds": 1,
-                        "optimizer": "rmsprop_like",
-                        "out": "p.csv",
-                        "regime": "mixed",
-                        "scale_sigma": 0.1,
-                        "seed": 0,
-                        "steps": 2,
-                        "target_size_max": 1640.9342882904475,
-                        "target_size_min": 1640.9342882904475,
-                        "translation_sigma": 0.3,
-                    },
-                    "version": __version__,
-                },
+                _manifest(
+                    "fit",
+                    frame=[-783.8800084129549, 0.0, 857.0542798774925, 2000.0],
+                    target_size_max=1640.9342882904475,
+                    target_size_min=1640.9342882904475,
+                ),
                 "target_size_max=1640.9342882904475 leaves no room for a box center",
             ),
             (
-                {
-                    "command": "fit",
-                    "config": {
-                        "batch_size": 4,
-                        "compare": None,
-                        "delta": 1.0,
-                        "frame": [0.0, 0.0, 1e308, 1e308],
-                        "learning_rate": 0.05,
-                        "loss": "smooth_iou",
-                        "momentum_or_decay": 0.9,
-                        "num_pairs": 4,
-                        "num_seeds": 1,
-                        "optimizer": "rmsprop_like",
-                        "out": "p.csv",
-                        "regime": "mixed",
-                        "scale_sigma": 0.1,
-                        "seed": 0,
-                        "steps": 2,
-                        "target_size_max": 20.0,
-                        "target_size_min": 5.0,
-                        "translation_sigma": 0.3,
-                    },
-                    "version": __version__,
-                },
+                _manifest("fit", frame=[0.0, 0.0, 1e308, 1e308]),
                 "frame (0.0, 0.0, 1e+308, 1e+308) is too large for target sizes",
             ),
-            (
-                {
-                    "command": "profile",
-                    "config": {
-                        "out": "p.csv",
-                        "delta": 1.0,
-                        "mismatch_scale": 1.0,
-                        "samples": 21.5,
-                        "deltas": None,
-                    },
-                    "version": __version__,
-                },
-                "num_samples must be an integer, got 21.5",
-            ),
+            (_manifest("profile", samples=21.5), "num_samples must be an integer, got 21.5"),
             *(
                 (
                     _manifest("profile", deltas=deltas),
@@ -1434,6 +1242,23 @@ def _check_exit_code_contract(argv: list[str], files: dict[str, str]) -> None:
 
 
 class TestExitCodeContract:
+    @pytest.mark.parametrize("command", list(_REPLAYABLE))
+    def test_the_one_valid_manifest_is_recorded_and_replays(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        """A flag run records exactly _REPLAYABLE's config, and the unedited
+        _manifest replays, so each malformed manifest and fuzzed edit is one
+        edit away from a manifest known to work."""
+        monkeypatch.chdir(tmp_path)
+        assert main(_FLAG_RUNS[command]) == 0
+        manifest_path = Path("run/manifest.json" if command == "fit" else "p.manifest.json")
+        assert json.loads(manifest_path.read_text())["config"] == _REPLAYABLE[command]
+        (tmp_path / "replay").mkdir()
+        monkeypatch.chdir(tmp_path / "replay")
+        Path("replay.json").write_text(json.dumps(_manifest(command)))
+        assert main(["rerun", "replay.json"]) == 0
+        assert capsys.readouterr().err == ""
+
     @given(edit=st.sampled_from(_FUZZ_EDITS))
     @example(edit=("fit", "frame", [0.0, 0.0, 1e308, 1e308]))
     @example(edit=("fit", "num_pairs", True))

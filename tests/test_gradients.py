@@ -190,6 +190,12 @@ class TestGradSmoothIoU:
             grad_smooth_iou(batch, 1)
         with pytest.raises(IndexError):
             grad_smooth_iou(batch, -1)
+        # The count check runs first: False would pass as example 0, and a
+        # float or a string would fail in slicing with a bare TypeError.
+        for k in (False, True, 1.5, "0"):
+            with pytest.raises(ValueError) as exc:
+                grad_smooth_iou(batch, k)
+            assert str(exc.value) == f"k must be an integer, got {k!r}"
 
     def test_is_frozen_weight_combination(self):
         preds = (Box(2, 3, 12, 13), Box(34, 31.5, 52, 48.7), Box(70, 70, 80, 80))

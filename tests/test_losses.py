@@ -9,6 +9,7 @@ import struct
 
 import numpy as np
 import pytest
+import reference
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -39,13 +40,6 @@ BOXES = st.builds(
 )
 
 PAIR_LISTS = st.lists(st.tuples(BOXES, BOXES), min_size=1, max_size=8)
-
-
-def _huber_ref(z: float, delta: float) -> float:
-    # Piecewise reference written out independently of the implementation.
-    if abs(z) < delta:
-        return 0.5 * z * z
-    return delta * abs(z) - 0.5 * delta * delta
 
 
 def _batch(pairs) -> BoxBatch:
@@ -95,7 +89,8 @@ class TestHuberScalar:
     @example(z=1.2394511199745166e-160, delta=1.0)
     @example(z=4.0, delta=3.5459711189894074)
     def test_matches_piecewise_reference(self, z, delta):
-        assert huber_scalar(z, HuberParams(delta)) == _huber_ref(z, delta)
+        params = HuberParams(delta)
+        assert huber_scalar(z, params) == reference.huber_scalar(z, params)
 
     @given(st.floats(-50.0, 50.0), st.floats(0.1, 5.0))
     @example(z=1.2394511199745166e-160, delta=1.0)
@@ -152,7 +147,7 @@ class TestBoxLosses:
     def test_huber_box_sums_coordinates(self, pred, target, delta):
         params = HuberParams(delta)
         expected = sum(
-            _huber_ref(p - t, delta)
+            reference.huber_scalar(p - t, params)
             for p, t in zip(pred.corners(), target.corners())
         )
         assert huber_box(pred, target, params) == pytest.approx(expected, rel=1e-15)

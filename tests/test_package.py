@@ -11,6 +11,8 @@ import boxloss
 from boxloss import boxes, cli, fitting, gradients, losses, profiles
 from boxloss.cli import main
 
+_ROOT = Path(__file__).resolve().parents[1]
+
 PUBLIC_NAMES = {
     # boxes
     "Box",
@@ -132,24 +134,26 @@ def _private_definitions(tree: ast.Module):
 
 
 def test_every_private_module_name_is_referenced():
-    package = Path(boxloss.__file__).parent
-    trees = {
-        path.name: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(package.glob("*.py"))
-    }
-    referenced = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.alias):
-                referenced.add(node.name)
-    unreferenced = [
-        f"{module}: {name}"
-        for module, tree in trees.items()
-        for name in _private_definitions(tree)
-        if name not in referenced
-    ]
-    assert unreferenced == []
+    # Each directory on its own, so a name that another directory reads does
+    # not keep a same-named dead helper alive.
+    for directory in (Path(boxloss.__file__).parent, _ROOT / "tests", _ROOT / "tools"):
+        trees = {
+            path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(directory.glob("*.py"))
+        }
+        referenced = set()
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    referenced.add(node.name)
+        unreferenced = [
+            f"{directory.name}/{module}: {name}"
+            for module, tree in trees.items()
+            for name in _private_definitions(tree)
+            if name not in referenced
+        ]
+        assert unreferenced == []

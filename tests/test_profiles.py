@@ -379,6 +379,21 @@ class TestConfigValidation:
         last = sweep(config)[-1].x_center
         assert type(last) is float and last == 80.0
 
+    # Repeated grid points would hide the profile: the convexity scan divides
+    # 0 by 0 on each repeated triple and reports no violation.
+    @pytest.mark.parametrize(
+        "start, end, ends",
+        [
+            (40.0, math.nextafter(40.0, 100.0), "40.0 and x_center_end=40.00000000000001"),
+            (1e16, 1e16 + 200, "1e+16 and x_center_end=1.00000000000002e+16"),
+        ],
+        ids=["one_ulp", "coarse_floats"],
+    )
+    def test_rejects_a_span_too_narrow_for_its_grid(self, start, end, ends):
+        message = f"x_center_start={ends} are too close for num_samples=161 distinct grid points"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sweep(SweepConfig(x_center_start=start, x_center_end=end))
+
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             SweepConfig(delta=0.0)
