@@ -150,22 +150,29 @@ def convexity_violations(rows: list[SweepRow], column: str) -> np.ndarray:
     n = len(rows)
     xs = np.array([r.x_center for r in rows])
     ys = np.array([getattr(r, column) for r in rows])
-    # Cell (a, b) of i's block is k = i + 2 + a, j = i + 1 + b; j < k is b <= a.
-    # The masks of the i with a violation are kept and counted first, so the
-    # result is allocated once and filled in place, not joined from blocks.
-    below = np.tri(max(n - 2, 0), dtype=bool)
-    masks = {}
+    # gap[k, j] = x_k - x_j where j < k, else NaN, which compares False; so
+    # i's block, k = i + 2 + a by j = i + 1 + b, is one slice and needs no
+    # triangle mask. The masks of the i with a violation are kept and counted
+    # first, so the result is allocated once and filled in place.
+    gap = np.where(np.tri(n, k=-1, dtype=bool), xs[:, None] - xs, np.nan)
+    masks, total = {}, 0
     for i in range(n - 2):
-        x_k, y_k = xs[i + 2 :, None], ys[i + 2 :, None]
-        t = (x_k - xs[i + 1 : -1]) / (x_k - xs[i])
-        bound = t * ys[i] + (1.0 - t) * y_k
-        mask = below[i:, i:] & (ys[i + 1 : -1] > bound + 1e-9)
-        if mask.any():
+        t = gap[i + 2 :, i + 1 : -1] / (xs[i + 2 :, None] - xs[i])
+        # t * y_i + (1 - t) * y_k + 1e-9, bit for bit, on t's own temporaries.
+        bound = 1.0 - t
+        bound *= ys[i + 2 :, None]
+        t *= ys[i]
+        bound += t
+        bound += 1e-9
+        mask = ys[i + 1 : -1] > bound
+        count = np.count_nonzero(mask)
+        if count:
             masks[i] = mask
-    triples = np.empty((sum(map(np.count_nonzero, masks.values())), 3), dtype=np.int32)
+            total += count
+    triples = np.empty((total, 3), dtype=np.int32)
     end = 0
     for i, mask in masks.items():
-        a, b = np.nonzero(mask)
+        a, b = np.divmod(np.flatnonzero(mask), mask.shape[1])
         start, end = end, end + a.size
         triples[start:end, 0] = i
         triples[start:end, 1] = b + (i + 1)
