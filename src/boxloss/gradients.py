@@ -273,6 +273,9 @@ def finite_diff_check(
     the gradient's constant-lam convention. Errors are relative:
     |analytic - numeric| / max(1, |numeric|). This is the one-kind case of
     _check_kinds, which checks several kinds on one drawn sample set.
+
+    tolerance is validated (finite and positive) but not applied: the result
+    carries no pass/fail verdict, so compare max_relative_error with it.
     """
     return _check_kinds([kind], config, tolerance, step, params)[0]
 
@@ -291,7 +294,10 @@ def _check_kinds(
 
     Each chunk's pairs come from one call on each of two generators spawned
     from the seed, n rows of ten uniforms and n of two Gaussians, so the
-    first n samples do not depend on num_samples or on the chunk size."""
+    first n samples do not depend on num_samples or on the chunk size.
+
+    tolerance is only validated; the CLI compares each max_relative_error
+    with --tol itself."""
     _check_numbers(step=step)
     if not 1e-7 <= step <= 1e-3:
         raise ValueError(f"step must lie in [1e-7, 1e-3], got {step}")

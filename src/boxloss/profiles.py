@@ -143,17 +143,18 @@ def convexity_violations(rows: list[SweepRow], column: str) -> np.ndarray:
     array of violating triples, columns i, j, k, ordered by i, then k, then
     j; 12 bytes per triple. A convex column, or fewer than 3 rows, gives a
     (0, 3) array; the IoU-loss plateau produces violations. Each i is one
-    broadcast over its (k, j) triangle.
+    slice of a gap table that is NaN outside j < k, so it needs no triangle
+    mask, and the triangle is chosen by index, whatever the order of x.
     """
     if column not in _ROW_COLUMNS:
         raise ValueError(f"unknown column {column!r}, expected one of {_ROW_COLUMNS}")
     n = len(rows)
     xs = np.array([r.x_center for r in rows])
     ys = np.array([getattr(r, column) for r in rows])
-    # gap[k, j] = x_k - x_j where j < k, else NaN, which compares False; so
-    # i's block, k = i + 2 + a by j = i + 1 + b, is one slice and needs no
-    # triangle mask. The masks of the i with a violation are kept and counted
-    # first, so the result is allocated once and filled in place.
+    # gap[k, j] = x_k - x_j for j < k, else NaN, which compares False. Cell
+    # (a, b) of i's block is k = i + 2 + a, j = i + 1 + b. The masks of the i
+    # with a violation are kept and counted first, so the result is
+    # allocated once and filled in place.
     gap = np.where(np.tri(n, k=-1, dtype=bool), xs[:, None] - xs, np.nan)
     masks, total = {}, 0
     for i in range(n - 2):
