@@ -98,6 +98,16 @@ def _check_corners(corners: np.ndarray) -> np.ndarray:
     return corners
 
 
+def _exp(x: np.ndarray) -> np.ndarray:
+    """math.exp of each value of x, in x's shape; inf everywhere if any value
+    overflows. The samplers use it, not np.exp, whose last bits depend on the
+    SIMD code numpy dispatches to."""
+    try:
+        return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    except OverflowError:
+        return np.full(x.shape, math.inf)
+
+
 @dataclass(frozen=True)
 class Box:
     """Rectangle in corner form (xmin, ymin, xmax, ymax).

@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 I/O failure or a manifest that is not UTF-8 JSON,
 2 invalid flags or config (a value of the wrong type or count, an integer
 too large for a float, an unknown manifest key, an empty out or a profile
 out that names no file, or a count too large to allocate), 3 gradient
-check over tolerance, 4 infeasible dataset generation, 130 interrupted
-(SIGINT). `main` alone maps failures to these codes.
+check over tolerance or nan, 4 infeasible dataset generation, 130
+interrupted (SIGINT). `main` alone maps failures to these codes.
 
 Every file-producing command also writes a manifest recording the command,
 the fully resolved configuration, the seed, the tool, Python and numpy
@@ -184,20 +184,17 @@ def _cmd_profile(args) -> int:
 def _cmd_gradcheck(args) -> int:
     seed = _env_seed(GradCheckConfig.seed) if args.seed is None else args.seed
     kinds = list(LossKind) if args.loss == "all" else [LossKind(args.loss)]
-    failed = False
     # GradCheckConfig and _check_kinds validate --samples, --step and --tol.
     config = GradCheckConfig(num_samples=args.samples, regime=args.regime, seed=seed)
     results = _check_kinds(kinds, config, tolerance=args.tol, step=args.step)
     for kind, result in zip(kinds, results):
-        ok = result.max_relative_error <= args.tol
-        failed = failed or not ok
         print(
             f"{kind.value}: max_relative_error={result.max_relative_error:.6e} "
             f"checked={result.num_points_checked} "
             f"skipped_near_kink={result.num_skipped_near_kink} "
-            f"{'PASS' if ok else 'FAIL'}"
+            f"{'PASS' if result.passed else 'FAIL'}"
         )
-    return 3 if failed else 0
+    return 0 if all(result.passed for result in results) else 3
 
 
 # ---------------------------------------------------------------------------

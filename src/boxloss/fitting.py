@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .boxes import _IEEE, Box, BoxBatch, _check_choice, _check_counts, _check_numbers
-from .boxes import _check_corners, _check_positive, iou, iou_array
+from .boxes import _check_corners, _check_positive, _exp, iou, iou_array
 from .gradients import _PAIR_GRAD
 from .losses import _LOSSES, HuberParams, LossKind, _blend_weight, _mean
 
@@ -247,13 +247,7 @@ def _draw_pairs(config: FitConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for _round in range(_MAX_ATTEMPTS):
         z = rng_z.standard_normal((len(pending), 4))
         size = sizes[pending]
-        # math.exp, not np.exp, whose last bits depend on numpy's SIMD dispatch.
-        jitter = (config.scale_sigma * z[:, :2]).ravel().tolist()
-        try:
-            factors = np.reshape(list(map(math.exp, jitter)), (-1, 2))
-        except OverflowError:
-            factors = math.inf
-        drawn_size = size * factors
+        drawn_size = size * _exp(config.scale_sigma * z[:, :2])
         if not np.isfinite(drawn_size).all():
             raise ValueError(
                 f"scale_sigma={config.scale_sigma!r} drew a box size that is not finite"

@@ -165,6 +165,7 @@ def test_criterion_3_gradients_match_finite_differences():
             )
         assert result.num_points_checked >= 1000
         assert result.max_relative_error < 1e-4
+        assert result.passed
         worst[kind.value] = result.max_relative_error
 
     summary = ", ".join(f"{name} {err:.1e}" for name, err in worst.items())

@@ -216,6 +216,14 @@ class TestGradcheckCommand:
         assert code == 3
         assert "FAIL" in capsys.readouterr().out
 
+    def test_a_nan_gradient_fails(self, monkeypatch, capsys):
+        nan_rows = lambda p, t, lam, params: np.full_like(p, math.nan)
+        monkeypatch.setitem(gradients._PAIR_GRAD, gradients.LossKind.HUBER, nan_rows)
+        assert main(["gradcheck", "--loss", "huber", "--samples", "50"]) == 3
+        out = capsys.readouterr().out
+        assert out.startswith("huber: max_relative_error=nan ") and out.endswith(" FAIL\n")
+        assert out.count("\n") == 1
+
     def test_invalid_flags_exit_2(self):
         for argv in (
             ["gradcheck", "--samples", "0"],
@@ -1397,10 +1405,10 @@ class TestDeterminism:
 
         The table is made under one boxloss version, and a change to the
         output bytes needs a new one, so the test fails when the table names
-        another version. It pins one Python, one numpy and one machine class:
-        gradcheck's sampler draws its size jitter through np.exp, whose last
-        bits can follow the CPU's SIMD dispatch. On another Python or numpy
-        the test skips and names both. To remake the table, run
+        another version. It pins one Python and one numpy: both samplers
+        draw their size jitters through math.exp, not np.exp, whose last bits
+        can follow the CPU's SIMD dispatch. On another Python or numpy the
+        test skips and names both. To remake the table, run
         `python3 tools/cli_outputs.py src OUT` and copy OUT/digests.json.
         """
         table = json.loads((_ROOT / "tests" / "cli_digests.json").read_text(encoding="utf-8"))

@@ -10,8 +10,9 @@ for bit; `generate_dataset` is checked against `tests/reference.py`'s scalar
 copy, and the pairs against their regime and the perturbation law.
 
 gradcheck's `_sample_pairs` builds its pairs from array draws on two
-generators spawned from the seed; its rows are checked against each regime's
-geometric law, and the first rows against any number of samples after them.
+generators spawned from the seed, with `math.exp` size jitters too; its rows
+are checked against each regime's geometric law, and the first rows against
+any number of samples after them.
 """
 
 import math
@@ -224,6 +225,25 @@ def _gradcheck_rows(config: GradCheckConfig) -> np.ndarray:
         patch.setattr(gradients, "_sample_pairs", recording)
         gradients._check_kinds([LossKind.HUBER], config, 1e-4, 1e-5)
     return np.concatenate(drawn)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gradcheck_size_jitters_are_math_exp(seed):
+    """gradcheck's partial pairs have the sizes w * math.exp(0.15 * z) and
+    h * math.exp(0.15 * z'), bit for bit, as fit's draw has math.exp's size
+    factors. Each row is rebuilt here from Python floats, whose four basic
+    operations round as numpy's do."""
+    rng_u, rng_z = _spawned(seed)
+    u, z = rng_u.random((4096, 10)), rng_z.standard_normal((4096, 2))
+    want = []
+    for (u0, u1, u2, u3, _, a, b, c, d, _), (zw, zh) in zip(u.tolist(), z.tolist()):
+        w, h = 6.0 + 18.0 * u0, 6.0 + 18.0 * u1
+        jw, jh = w * math.exp(0.15 * zw), h * math.exp(0.15 * zh)
+        px = 30.0 + 40.0 * u2 + (0.25 + 0.5 * a) * ((w + jw) / 2) * (-1.0 if c < 0.5 else 1.0)
+        py = 30.0 + 40.0 * u3 + (0.25 + 0.5 * b) * ((h + jh) / 2) * (-1.0 if d < 0.5 else 1.0)
+        want.append((px - jw / 2, py - jh / 2, px + jw / 2, py + jh / 2))
+    pred = gradients._sample_pairs(u, z, "partial")[:, :4]
+    assert _hex(pred.ravel()) == _hex(np.ravel(want))
 
 
 def _assert_regime_law(rows: np.ndarray, regime: str) -> None:

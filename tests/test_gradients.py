@@ -376,6 +376,40 @@ class TestFiniteDiffCheck:
         result = finite_diff_check("squared", config)
         assert result.max_relative_error < 1e-4
 
+    def test_passed_holds_up_to_the_tolerance(self):
+        config = GradCheckConfig(num_samples=300, seed=0)
+        worst = finite_diff_check(LossKind.SMOOTH_IOU, config).max_relative_error
+        assert worst > 0.0
+        assert finite_diff_check(LossKind.SMOOTH_IOU, config, tolerance=worst).passed is True
+        below = math.nextafter(worst, 0.0)
+        assert finite_diff_check(LossKind.SMOOTH_IOU, config, tolerance=below).passed is False
+
+    def test_a_nan_error_fails(self, monkeypatch):
+        nan_rows = lambda p, t, lam, params: np.full_like(p, math.nan)
+        monkeypatch.setitem(gradients._PAIR_GRAD, LossKind.HUBER, nan_rows)
+        result = finite_diff_check(LossKind.HUBER, GradCheckConfig(num_samples=50, seed=0))
+        assert result.passed is False
+        assert math.isnan(result.max_relative_error)
+
+    def test_a_nan_error_in_a_later_chunk_fails(self, monkeypatch):
+        # Python's max keeps its first argument against a nan, so a maximum
+        # taken across chunks that way would report the first chunk's error.
+        huber, calls = gradients._PAIR_GRAD[LossKind.HUBER], []
+
+        def nan_after_the_first_chunk(p, t, lam, params):
+            grad = huber(p, t, lam, params)
+            calls.append(len(p))
+            if len(calls) > 1:
+                grad[:1, 0] = math.nan
+            return grad
+
+        monkeypatch.setitem(gradients._PAIR_GRAD, LossKind.HUBER, nan_after_the_first_chunk)
+        monkeypatch.setattr(gradients, "_CHECK_CHUNK", 7)
+        result = finite_diff_check(LossKind.HUBER, GradCheckConfig(num_samples=50, seed=0))
+        assert len(calls) == 8 and calls[0] > 0
+        assert result.passed is False
+        assert math.isnan(result.max_relative_error)
+
 
 def _result_fields(result: GradCheckResult) -> tuple:
     return (
