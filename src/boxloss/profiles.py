@@ -142,30 +142,37 @@ def convexity_violations(rows: list[SweepRow], column: str) -> np.ndarray:
     f(x_j) > t * f(x_i) + (1 - t) * f(x_k) + 1e-9. Returns an (M, 3) int32
     array of violating triples, columns i, j, k, ordered by i, then k, then
     j; 12 bytes per triple. A convex column, or fewer than 3 rows, gives a
-    (0, 3) array; the IoU-loss plateau produces violations. Each i is one
-    slice of a gap table that is NaN outside j < k, so it needs no triangle
-    mask, and the triangle is chosen by index, whatever the order of x.
+    (0, 3) array; the IoU-loss plateau produces violations. One table holds
+    every pair j < k by index, j-major, in 64 bytes per pair, so each i's
+    block is the suffix of pairs with j > i: no cell outside j < k is ever
+    computed, and the triangle is chosen by index, whatever the order of x.
+    Each i's violations are put back in (k, j) order by sorting their pairs'
+    ranks in that order, which are distinct, so the order is exact.
     """
     if column not in _ROW_COLUMNS:
         raise ValueError(f"unknown column {column!r}, expected one of {_ROW_COLUMNS}")
     n = len(rows)
     xs = np.array([r.x_center for r in rows])
     ys = np.array([getattr(r, column) for r in rows])
-    # gap[k, j] = x_k - x_j for j < k, else NaN, which compares False. Cell
-    # (a, b) of i's block is k = i + 2 + a, j = i + 1 + b. The masks of the i
-    # with a violation are kept and counted first, so the result is
-    # allocated once and filled in place.
-    gap = np.where(np.tri(n, k=-1, dtype=bool), xs[:, None] - xs, np.nan)
-    masks, total = {}, 0
+    # Pairs in np.triu_indices order, so those with j > i are the suffix from
+    # o = sum(n - 1 - j for j <= i). rank is a pair's place in (k, j) order,
+    # the order np.tril_indices lists kk and jj in. The masks of the i with a
+    # violation are kept and counted first, so the result is allocated once
+    # and filled in place.
+    j, k = np.triu_indices(n, 1)
+    gap, xk, yk, yj, rank = xs[k] - xs[j], xs[k], ys[k], ys[j], k * (k - 1) // 2 + j
+    kk, jj = (a.astype(np.int32) for a in np.tril_indices(n, -1))
+    masks, total, o = {}, 0, 0
     for i in range(n - 2):
-        t = gap[i + 2 :, i + 1 : -1] / (xs[i + 2 :, None] - xs[i])
+        o += n - 1 - i
+        t = gap[o:] / (xk[o:] - xs[i])
         # t * y_i + (1 - t) * y_k + 1e-9, bit for bit, on t's own temporaries.
         bound = 1.0 - t
-        bound *= ys[i + 2 :, None]
+        bound *= yk[o:]
         t *= ys[i]
         bound += t
         bound += 1e-9
-        mask = ys[i + 1 : -1] > bound
+        mask = yj[o:] > bound
         count = np.count_nonzero(mask)
         if count:
             masks[i] = mask
@@ -173,9 +180,9 @@ def convexity_violations(rows: list[SweepRow], column: str) -> np.ndarray:
     triples = np.empty((total, 3), dtype=np.int32)
     end = 0
     for i, mask in masks.items():
-        a, b = np.divmod(np.flatnonzero(mask), mask.shape[1])
-        start, end = end, end + a.size
+        r = np.sort(rank[-mask.size :][mask])
+        start, end = end, end + r.size
         triples[start:end, 0] = i
-        triples[start:end, 1] = b + (i + 1)
-        triples[start:end, 2] = a + (i + 2)
+        triples[start:end, 1] = jj[r]
+        triples[start:end, 2] = kk[r]
     return triples

@@ -1411,21 +1411,35 @@ class TestDeterminism:
         test skips and names both. To remake the table, run
         `python3 tools/cli_outputs.py src OUT` and copy OUT/digests.json.
         """
-        table = json.loads((_ROOT / "tests" / "cli_digests.json").read_text(encoding="utf-8"))
-        assert table["version"] == __version__, (
-            f"tests/cli_digests.json is for boxloss {table['version']}, this is {__version__}"
-        )
-        here = {"python": platform.python_version(), "numpy": np.__version__}
-        if {key: table[key] for key in here} != here:
-            pytest.skip(
-                f"digests were made with python {table['python']} and numpy {table['numpy']}, "
-                f"this is python {here['python']} and numpy {here['numpy']}"
-            )
+        table = _digest_table()
         # run_all puts src first on sys.path; the copy is restored afterwards.
         monkeypatch.setattr(sys, "path", list(sys.path))
-        files = _output_tool().run_all(_ROOT / "src", tmp_path / "out")["files"]
-        for path in sorted(files.keys() | table["files"].keys()):
-            assert files.get(path) == table["files"].get(path), f"{path} differs from the table"
+        _assert_digests(_output_tool().run_all(_ROOT / "src", tmp_path / "out")["files"], table)
+
+    def test_output_bytes_do_not_follow_the_simd_dispatch(self, tmp_path):
+        """tools/cli_outputs.py, rerun in a child process with numpy's
+        dispatched x86 SIMD features turned off, writes the bytes that
+        tests/cli_digests.json records. numpy reads NPY_DISABLE_CPU_FEATURES
+        once, at import, so only a new process sees it. Where numpy refuses
+        the setting (a feature in its baseline, or one it does not dispatch,
+        as on another architecture), the test skips and quotes numpy.
+        """
+        table = _digest_table()
+        features = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": features}
+        probe = subprocess.run(
+            [sys.executable, "-W", "error::ImportWarning", "-c", "import numpy"],
+            env=env, capture_output=True, text=True,
+        )
+        if probe.returncode != 0:
+            lines = probe.stderr.splitlines() or [f"exit {probe.returncode}"]
+            reason = next((line for line in lines if "cannot disable" in line), lines[-1])
+            pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={features!r}: {reason}")
+        out = tmp_path / "out"
+        tool = [sys.executable, str(_ROOT / "tools" / "cli_outputs.py"), str(_ROOT / "src"), str(out)]
+        child = subprocess.run(tool, env=env, capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        _assert_digests(json.loads((out / "digests.json").read_text(encoding="utf-8"))["files"], table)
 
     def test_output_tool_refuses_an_existing_out(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1434,6 +1448,27 @@ class TestDeterminism:
         captured = capsys.readouterr()
         assert captured.err == f"error: OUT {str(out)!r} already exists\n"
         assert captured.out == "" and list(out.iterdir()) == []
+
+
+def _digest_table() -> dict:
+    """tests/cli_digests.json. Its version must be this boxloss's; on another
+    Python or numpy than it names, the calling test skips and names both."""
+    table = json.loads((_ROOT / "tests" / "cli_digests.json").read_text(encoding="utf-8"))
+    assert table["version"] == __version__, (
+        f"tests/cli_digests.json is for boxloss {table['version']}, this is {__version__}"
+    )
+    here = {"python": platform.python_version(), "numpy": np.__version__}
+    if {key: table[key] for key in here} != here:
+        pytest.skip(
+            f"digests were made with python {table['python']} and numpy {table['numpy']}, "
+            f"this is python {here['python']} and numpy {here['numpy']}"
+        )
+    return table
+
+
+def _assert_digests(files: dict, table: dict) -> None:
+    for path in sorted(files.keys() | table["files"].keys()):
+        assert files.get(path) == table["files"].get(path), f"{path} differs from the table"
 
 
 def _output_tool():

@@ -295,16 +295,21 @@ class TestConvexityScan:
             rows = ROWS if n == 161 else sweep(SweepConfig(num_samples=n))
             assert tuple(len(_scan(rows, column)) for column in COLUMNS) == counts, n
 
-    @pytest.mark.parametrize("n", [21, 121, 161, 201])
+    # n = 3 and 4 give the shortest suffixes of the pair table: one pair, then three.
+    @pytest.mark.parametrize("n", [3, 4, 21, 121, 161, 201])
     def test_matches_reference_scan_on_sweeps(self, n):
         rows = ROWS if n == 161 else sweep(SweepConfig(num_samples=n))
         for column in COLUMNS:
             assert _matches_reference(rows, column), column
 
-    @pytest.mark.parametrize("order", ["reversed", "shuffled", "repeated_x"])
-    def test_matches_reference_scan_on_unsorted_rows(self, order):
+    @pytest.mark.parametrize(
+        "order, n",
+        [("reversed", 21), ("shuffled", 21), ("repeated_x", 21), ("shuffled", 121), ("repeated_x", 121)],
+        ids=["reversed", "shuffled", "repeated_x", "shuffled_121", "repeated_x_121"],
+    )
+    def test_matches_reference_scan_on_unsorted_rows(self, order, n):
         # The scan picks j < k by index, not by x, on any order of rows.
-        rows = sweep(SweepConfig(num_samples=21))
+        rows = sweep(SweepConfig(num_samples=n))
         if order == "reversed":
             rows = rows[::-1]
         elif order == "shuffled":
@@ -316,16 +321,17 @@ class TestConvexityScan:
 
     def test_result_is_allocated_once(self):
         # Joining per-i blocks would hold the result twice, a peak of about 2x.
-        rows = sweep(SweepConfig(num_samples=201))
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            triples = convexity_violations(rows, "iou")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(triples) == 666366
-        assert peak < 1.5 * triples.nbytes
+        for n, expected in ((201, 666366), (401, 5329866)):
+            rows = sweep(SweepConfig(num_samples=n))
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                triples = convexity_violations(rows, "iou")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(triples) == expected, n
+            assert peak < 1.5 * triples.nbytes, n
 
     def test_slack_is_strict(self):
         rows = sweep(SweepConfig(x_center_start=0.0, x_center_end=2.0, num_samples=3))
