@@ -1429,7 +1429,7 @@ class TestDeterminism:
         env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": features}
         probe = subprocess.run(
             [sys.executable, "-W", "error::ImportWarning", "-c", "import numpy"],
-            env=env, capture_output=True, text=True,
+            env=env, capture_output=True, text=True, timeout=60,
         )
         if probe.returncode != 0:
             lines = probe.stderr.splitlines() or [f"exit {probe.returncode}"]
@@ -1437,7 +1437,7 @@ class TestDeterminism:
             pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={features!r}: {reason}")
         out = tmp_path / "out"
         tool = [sys.executable, str(_ROOT / "tools" / "cli_outputs.py"), str(_ROOT / "src"), str(out)]
-        child = subprocess.run(tool, env=env, capture_output=True, text=True)
+        child = subprocess.run(tool, env=env, capture_output=True, text=True, timeout=300)
         assert child.returncode == 0, child.stderr
         _assert_digests(json.loads((out / "digests.json").read_text(encoding="utf-8"))["files"], table)
 

@@ -295,7 +295,7 @@ class TestConvexityScan:
             rows = ROWS if n == 161 else sweep(SweepConfig(num_samples=n))
             assert tuple(len(_scan(rows, column)) for column in COLUMNS) == counts, n
 
-    # n = 3 and 4 give the shortest suffixes of the pair table: one pair, then three.
+    # n = 3 and 4 scan the pair table's shortest suffixes, of one and three pairs.
     @pytest.mark.parametrize("n", [3, 4, 21, 121, 161, 201])
     def test_matches_reference_scan_on_sweeps(self, n):
         rows = ROWS if n == 161 else sweep(SweepConfig(num_samples=n))
