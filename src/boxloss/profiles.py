@@ -142,24 +142,23 @@ def convexity_violations(rows: list[SweepRow], column: str) -> np.ndarray:
     f(x_j) > t * f(x_i) + (1 - t) * f(x_k) + 1e-9. Returns an (M, 3) int32
     array of violating triples, columns i, j, k, ordered by i, then k, then
     j; 12 bytes per triple. A convex column, or fewer than 3 rows, gives a
-    (0, 3) array; the IoU-loss plateau produces violations. One table holds
-    every pair j < k by index, j-major, in 48 bytes per pair, so each i's
-    block is the suffix of pairs with j > i: no cell outside j < k is ever
-    computed, and the triangle is chosen by index, whatever the order of x.
-    Each i's violations are put back in (k, j) order by sorting their pairs'
-    ranks in that order, which are distinct, so the order is exact. A call
-    peaks at about 15 bytes per triple: 79 MB for the iou column at n = 401.
+    (0, 3) array; the IoU-loss plateau produces violations. Each i reads the
+    suffix of pairs with j > i of one j-major table of every pair j < k, 48
+    bytes per pair, so no cell outside j < k is computed and the triangle is
+    chosen by index, whatever the order of x. The iou column at n = 401
+    peaks at 78 MB.
     """
     if column not in _ROW_COLUMNS:
         raise ValueError(f"unknown column {column!r}, expected one of {_ROW_COLUMNS}")
     n = len(rows)
     xs = np.array([r.x_center for r in rows])
     ys = np.array([getattr(r, column) for r in rows])
-    # Pairs in np.triu_indices order, so those with j > i are the suffix from
-    # o = sum(n - 1 - j for j <= i). rank is a pair's place in (k, j) order,
-    # the order np.tril_indices lists them in, and j and k are then rebound
-    # to that list. The masks of the i with a violation are kept and counted
-    # first, so the result is allocated once and filled in place.
+    # Pairs come in np.triu_indices order, so those with j > i are the suffix
+    # from o = sum(n - 1 - j for j <= i). j and k are then rebound to the pairs
+    # in (k, j) order, as np.tril_indices lists them, which rank indexes. The
+    # masks with a violation are kept, so the result is allocated once. A kept
+    # i's ranks are flagged from lo, that of its first pair (i + 1, i + 2) and
+    # the least, and np.flatnonzero reads them back in (k, j) order.
     j, k = np.triu_indices(n, 1)
     gap, xk, yk, yj, rank = xs[k] - xs[j], xs[k], ys[k], ys[j], k * (k - 1) // 2 + j
     k, j = (a.astype(np.int32) for a in np.tril_indices(n, -1))
@@ -181,7 +180,10 @@ def convexity_violations(rows: list[SweepRow], column: str) -> np.ndarray:
     triples = np.empty((total, 3), dtype=np.int32)
     end = 0
     for i, mask in masks.items():
-        r = np.sort(rank[-mask.size :][mask])
+        lo = rank[-mask.size]
+        hit = np.zeros(rank.size - lo, dtype=bool)
+        hit[rank[-mask.size :][mask] - lo] = True
+        r = np.flatnonzero(hit) + lo
         start, end = end, end + r.size
         triples[start:end, 0] = i
         triples[start:end, 1] = j[r]
