@@ -78,6 +78,14 @@ def _check_positive(**values) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _check_boxes(**values) -> None:
+    """The one check of box settings: each value must be a Box, not its
+    corners as a tuple, which has no width, height or corners()."""
+    for name, value in values.items():
+        if not isinstance(value, Box):
+            raise ValueError(f"{name} must be a Box, got {value!r}")
+
+
 def _store_finite(obj, *names: str) -> None:
     """The one check of box coordinates: each named field of the frozen
     `obj`, converted by float(), must be finite, and is stored as that float."""

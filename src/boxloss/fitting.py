@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .boxes import _IEEE, Box, BoxBatch, _check_choice, _check_counts, _check_numbers
-from .boxes import _check_corners, _check_positive, _exp, iou, iou_array
+from .boxes import _check_boxes, _check_corners, _check_positive, _exp, iou, iou_array
 from .gradients import _PAIR_GRAD
 from .losses import _LOSSES, HuberParams, LossKind, _blend_weight, _mean
 
@@ -105,6 +105,7 @@ class FitConfig:
             batch_size=(self.batch_size, -math.inf),
         )
         _check_numbers(**{f.name: getattr(self, f.name) for f in fields(self) if f.type == "float"})
+        _check_boxes(frame=self.frame)
         if not 0 < self.target_size_min <= self.target_size_max:
             raise ValueError(
                 f"target size range must satisfy 0 < min <= max, got "

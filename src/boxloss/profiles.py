@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .boxes import _IEEE, Box, _check_corners, _check_counts, _check_numbers, _check_positive
-from .boxes import _store_finite, iou_array
+from .boxes import _check_boxes, _store_finite, iou_array
 # Unused here; bench/worker.py's traced run replaces iou on this module by name.
 from .boxes import iou  # noqa: F401
 from .losses import _LOSSES, HuberParams, LossKind
@@ -46,6 +46,7 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         _check_counts(num_samples=(self.num_samples, 2))
+        _check_boxes(target=self.target)
         _check_numbers(**{f.name: getattr(self, f.name) for f in fields(self) if f.type == "float"})
         _store_finite(self, "y_center", "x_center_start", "x_center_end")
         _check_positive(pred_width=self.pred_width, pred_height=self.pred_height)
@@ -140,13 +141,13 @@ def convexity_violations(rows: list[SweepRow], column: str) -> np.ndarray:
     For each triple, the interpolation weight t satisfies
     x_j = t * x_i + (1 - t) * x_k; a violation means
     f(x_j) > t * f(x_i) + (1 - t) * f(x_k) + 1e-9. Returns an (M, 3) int32
-    array of violating triples, columns i, j, k, ordered by i, then k, then
-    j; 12 bytes per triple. A convex column, or fewer than 3 rows, gives a
-    (0, 3) array; the IoU-loss plateau produces violations. Each i reads the
-    suffix of pairs with j > i of one j-major table of every pair j < k, 48
-    bytes per pair, so no cell outside j < k is computed and the triangle is
-    chosen by index, whatever the order of x. The iou column at n = 401
-    peaks at 78 MB.
+    array of violating triples, columns i, j, k, in lexicographic order: by
+    i, then j, then k; 12 bytes per triple. A convex column, or fewer than 3
+    rows, gives a (0, 3) array; the IoU-loss plateau produces violations.
+    Each i reads the suffix of pairs with j > i of one j-major table of every
+    pair j < k, 40 bytes per pair, so no cell outside j < k is computed and
+    the triangle is chosen by index, whatever the order of x. The iou column
+    at n = 401 peaks at 77 MB.
     """
     if column not in _ROW_COLUMNS:
         raise ValueError(f"unknown column {column!r}, expected one of {_ROW_COLUMNS}")
@@ -154,14 +155,11 @@ def convexity_violations(rows: list[SweepRow], column: str) -> np.ndarray:
     xs = np.array([r.x_center for r in rows])
     ys = np.array([getattr(r, column) for r in rows])
     # Pairs come in np.triu_indices order, so those with j > i are the suffix
-    # from o = sum(n - 1 - j for j <= i). j and k are then rebound to the pairs
-    # in (k, j) order, as np.tril_indices lists them, which rank indexes. The
-    # masks with a violation are kept, so the result is allocated once. A kept
-    # i's ranks are flagged from lo, that of its first pair (i + 1, i + 2) and
-    # the least, and np.flatnonzero reads them back in (k, j) order.
+    # from o = sum(n - 1 - j for j <= i), already in (j, k) order. The masks
+    # with a violation are kept, so the result is allocated once.
     j, k = np.triu_indices(n, 1)
-    gap, xk, yk, yj, rank = xs[k] - xs[j], xs[k], ys[k], ys[j], k * (k - 1) // 2 + j
-    k, j = (a.astype(np.int32) for a in np.tril_indices(n, -1))
+    gap, xk, yk, yj = xs[k] - xs[j], xs[k], ys[k], ys[j]
+    j, k = j.astype(np.int32), k.astype(np.int32)
     masks, total, o = {}, 0, 0
     for i in range(n - 2):
         o += n - 1 - i
@@ -175,17 +173,13 @@ def convexity_violations(rows: list[SweepRow], column: str) -> np.ndarray:
         mask = yj[o:] > bound
         count = np.count_nonzero(mask)
         if count:
-            masks[i] = mask
+            masks[i] = mask, count
             total += count
     triples = np.empty((total, 3), dtype=np.int32)
     end = 0
-    for i, mask in masks.items():
-        lo = rank[-mask.size]
-        hit = np.zeros(rank.size - lo, dtype=bool)
-        hit[rank[-mask.size :][mask] - lo] = True
-        r = np.flatnonzero(hit) + lo
-        start, end = end, end + r.size
+    for i, (mask, count) in masks.items():
+        start, end = end, end + count
         triples[start:end, 0] = i
-        triples[start:end, 1] = j[r]
-        triples[start:end, 2] = k[r]
+        triples[start:end, 1] = j[-mask.size :][mask]
+        triples[start:end, 2] = k[-mask.size :][mask]
     return triples

@@ -552,6 +552,12 @@ class TestFitConfigValidation:
         with pytest.raises(ValueError):
             FitConfig(**kwargs)
 
+    def test_rejects_a_frame_that_is_not_a_box(self):
+        # Its corners as a tuple would fail later, on the tuple's missing width.
+        with pytest.raises(ValueError) as exc:
+            FitConfig(frame=(0, 0, 100, 100))
+        assert str(exc.value) == "frame must be a Box, got (0, 0, 100, 100)"
+
     def test_rejects_a_size_whose_center_range_rounds_below_zero(self):
         frame = Box(-783.8800084129549, 0.0, 857.0542798774925, 2000.0)
         size = 1640.9342882904475

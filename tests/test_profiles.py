@@ -29,28 +29,31 @@ COLUMNS = ("huber", "squared", "iou_loss", "smooth_iou", "iou")
 
 
 def _reference_scan(rows, column):
-    """The scan as one Python loop per (i, k): triples (i, j, k) in that order."""
+    """The scan as one Python loop per (i, j): triples (i, j, k) in that order."""
     xs = np.array([r.x_center for r in rows])
     ys = np.array([getattr(r, column) for r in rows])
     out = []
     n = len(rows)
     for i in range(n - 2):
-        for k in range(i + 2, n):
-            js = np.arange(i + 1, k)
-            t = (xs[k] - xs[js]) / (xs[k] - xs[i])
-            bound = t * ys[i] + (1.0 - t) * ys[k]
-            bad = js[ys[js] > bound + 1e-9]
-            out.extend((i, int(j), k) for j in bad)
+        for j in range(i + 1, n - 1):
+            ks = np.arange(j + 1, n)
+            t = (xs[ks] - xs[j]) / (xs[ks] - xs[i])
+            bound = t * ys[i] + (1.0 - t) * ys[ks]
+            bad = ks[ys[j] > bound + 1e-9]
+            out.extend((i, j, int(k)) for k in bad)
     return out
 
 
 def _scan(rows, column):
-    """convexity_violations, checked for its shape and dtype and for warnings."""
+    """convexity_violations, checked for its shape and dtype, for warnings, and
+    for rows that strictly increase in lexicographic (i, j, k) order."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = convexity_violations(rows, column)
     assert result.dtype == np.int32
     assert result.shape == (len(result), 3)
+    triples = result.tolist()
+    assert all(a < b for a, b in zip(triples, triples[1:]))
     return result
 
 
@@ -414,6 +417,12 @@ class TestConfigValidation:
         message = f"x_center_start={ends} are too close for num_samples=161 distinct grid points"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sweep(SweepConfig(x_center_start=start, x_center_end=end))
+
+    def test_rejects_a_target_that_is_not_a_box(self):
+        # sweep would fail later, on None's missing corners().
+        with pytest.raises(ValueError) as exc:
+            SweepConfig(target=None)
+        assert str(exc.value) == "target must be a Box, got None"
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
