@@ -281,7 +281,13 @@ def _corner_row(b: Box) -> np.ndarray:
 
 def iou_array(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Row-wise iou of two (K, 4) corner arrays, bitwise equal to iou per pair."""
-    _, _, inter, union = overlap_array(pred, target)
+    return _overlap_iou(overlap_array(pred, target))
+
+
+def _overlap_iou(overlap) -> np.ndarray:
+    """The IoU rows of overlap_array's four terms, given as a tuple or as the
+    rows of a (4, K) array."""
+    _, _, inter, union = overlap
     ratio = inter / union
     # iou's guards: union <= 0 gives 0, and max(0.0, ratio) is 0 for a nan ratio.
     return np.where((union > 0.0) & (ratio > 0.0), np.minimum(ratio, 1.0), 0.0)

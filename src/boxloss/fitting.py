@@ -18,8 +18,8 @@ from enum import Enum
 
 import numpy as np
 
-from .boxes import _IEEE, Box, BoxBatch, _check_choice, _check_counts, _check_numbers
-from .boxes import _check_boxes, _check_corners, _check_positive, _exp, iou, iou_array
+from .boxes import _IEEE, Box, BoxBatch, _check_choice, _check_counts, _check_numbers, _exp
+from .boxes import _check_boxes, _check_corners, _check_positive, _overlap_iou, iou, overlap_array
 from .gradients import _PAIR_GRAD
 from .losses import _LOSSES, HuberParams, LossKind, _blend_weight, _mean
 
@@ -202,8 +202,8 @@ def generate_dataset(config: FitConfig) -> BoxBatch:
     time in proportion to num_pairs, unless it is refused up front. A draw
     whose box size or center shift is not finite raises ValueError naming
     scale_sigma or translation_sigma, a drawn corner that overflows raises
-    Box's ValueError, and a target that rounds to zero width or height, far
-    from the origin, raises ValueError naming the frame.
+    Box's ValueError, and a target whose width or height rounds, far from the
+    origin, to zero or off the size range raises ValueError naming the frame.
     """
     predicted, targets, _ = _draw_pairs(config)
     return BoxBatch(*([Box(*row) for row in rows.tolist()] for rows in (predicted, targets)))
@@ -211,7 +211,7 @@ def generate_dataset(config: FitConfig) -> BoxBatch:
 
 def _draw_pairs(config: FitConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """generate_dataset's predicted and target boxes as (K, 4) corner arrays,
-    and their K IoUs, which fit reads as they are.
+    and their K IoUs, as the regime's mask read them.
 
     Two generators are spawned from the seed. The targets' w, h, cx and cy
     are one random((K, 4)) call on the first, each numpy's uniform draw
@@ -230,13 +230,18 @@ def _draw_pairs(config: FitConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cx = x_lo + ((frame.xmax - w / 2) - x_lo) * u_x
     cy = y_lo + ((frame.ymax - h / 2) - y_lo) * u_y
     targets = _check_corners(np.stack((cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2), axis=1))
-    flat = (targets[:, 2] <= targets[:, 0]) | (targets[:, 3] <= targets[:, 1])
-    if flat.any():
-        i = flat.argmax()
+    # Far from the origin, a side can round off the size range by over a millionth.
+    sides, hi = targets[:, 2:] - targets[:, :2], float(config.target_size_max)
+    off = ((sides < lo * (1 - 1e-6)) | (sides > hi * (1 + 1e-6))).any(axis=1)
+    flat = (sides <= 0.0).any(axis=1)
+    if off.any():
+        i = (flat if flat.any() else off).argmax()
+        w_i, h_i = sides[i].tolist()
+        size = "zero width or height" if flat.any() else f"a {w_i!r} x {h_i!r} box"
         raise ValueError(
             f"frame {frame.corners()} is too large for target sizes "
             f"[{config.target_size_min!r}, {config.target_size_max!r}]: a target drawn "
-            f"at center ({float(cx[i])!r}, {float(cy[i])!r}) rounds to zero width or height"
+            f"at center ({float(cx[i])!r}, {float(cy[i])!r}) rounds to {size}"
         )
 
     sizes, centers = np.stack((w, h), axis=1), np.stack((cx, cy), axis=1)
@@ -287,7 +292,8 @@ def _refuse_shared_centers(config, sizes, centers, targets) -> None:
     overlaps = np.full(len(sizes), True)
     for factors in itertools.product((math.exp(-reach), math.exp(reach)), repeat=2):
         half = sizes * factors / 2
-        overlaps &= iou_array(np.hstack((centers - half, centers + half)), targets) > 0.0
+        corners = np.hstack((centers - half, centers + half))
+        overlaps &= _overlap_iou(overlap_array(corners, targets)) > 0.0
     if overlaps.any():
         raise InfeasibleDatasetError(
             f"regime 'disjoint' cannot be met with translation_sigma=0 and scale_sigma="
@@ -299,58 +305,63 @@ def _refuse_shared_centers(config, sizes, centers, targets) -> None:
 def fit(config: FitConfig) -> FitResult:
     """Descend on the predicted boxes' corner coordinates.
 
-    Minibatches walk a seed-shuffled order with sequential wraparound. Raw
-    per-pair gradients update each pair's own block of four coordinates;
-    after every optimizer step, inverted boxes are projected back to
-    validity. The dataset's IoUs are computed once, and each step recomputes
-    only the rows its minibatch moved. Each state's configured loss and mean
-    IoU are then evaluated over the full dataset, and the trajectories
-    record them; every mean is summed left to right. A step's blend weight
-    lam is its minibatch's mean IoU, read from the IoUs of the state the
-    step starts from. If a coordinate or the loss turns non-finite, the step
-    is rolled back and the run stops; overflow is therefore not an error.
+    Minibatches walk a seed-shuffled order with sequential wraparound. The
+    pairs are permuted into that order once, so step s's minibatch is the
+    slice [s*b mod K, s*b mod K + b) of the rows, indexed only where it wraps
+    past K. Raw per-pair gradients update each pair's own four coordinates,
+    and inverted boxes are then projected back to validity. Each row's
+    overlap terms, IoU and lam-free loss terms are cached and recomputed only
+    for the rows a step moves; the gradient rows read the cached overlap.
+    Each state's loss and mean IoU over the full dataset are summed left to
+    right in dataset order, read through the inverse permutation, and
+    recorded. A step's blend weight lam is its minibatch's mean IoU at the
+    state the step starts from. If a coordinate or the loss turns non-finite,
+    the step is not written back and the run stops; overflow is not an error.
     diverged is read off the trajectory: a run that stopped early diverged,
     and its remaining trajectory repeats the last finite state.
     """
-    params, targets, ious = _draw_pairs(config)
-    state = np.zeros_like(params)
-    huber = HuberParams(config.delta)
-    grad, losses = _PAIR_GRAD[config.loss_kind], _LOSSES[config.loss_kind]
-    lr = config.learning_rate
-    rho = config.momentum_or_decay
-    b = config.batch_size
-    order = np.random.default_rng(config.seed).permutation(config.num_pairs)
+    k, b = config.num_pairs, config.batch_size
+    params, targets, _ = _draw_pairs(config)
+    order = np.random.default_rng(config.seed).permutation(k)
+    params, targets, back = params[order], targets[order], np.empty_like(order)
+    back[order] = np.arange(k)  # the inverse permutation; no sort, whose code adds RSS
+    state, huber = np.zeros_like(params), HuberParams(config.delta)
+    grad, (loss_terms, combine) = _PAIR_GRAD[config.loss_kind], _LOSSES[config.loss_kind]
+    lr, rho = config.learning_rate, config.momentum_or_decay
+    overlap = np.array(overlap_array(params, targets))
+    ious, terms = _overlap_iou(overlap), loss_terms(params, targets, huber)
 
-    # Every kind's loss row gets the mean IoU as lam; only the smooth kind reads it.
+    # Every kind's combine gets the mean IoU as lam; only the smooth kind reads it.
     def evaluate() -> tuple[float, float]:
-        mean_iou = _blend_weight(ious)
-        return _mean(losses(params, targets, ious, mean_iou, huber)), mean_iou
+        mean_iou = _blend_weight(ious[back])
+        return _mean(combine(ious, mean_iou, terms)[back]), mean_iou
 
     records = [evaluate()]
     for s in range(config.steps):
-        idx = order.take(np.arange(s * b, s * b + b), mode="wrap")
-        batch, batch_targets = params[idx], targets[idx]
-        g = grad(batch, batch_targets, _blend_weight(ious[idx]), huber)
+        start = s * b % k
+        rows = slice(start, start + b) if start + b <= k else np.arange(start, start + b) % k
+        batch, batch_targets = params[rows], targets[rows]
+        g = grad(batch, batch_targets, overlap[:, rows], _blend_weight(ious[rows]), huber)
         if config.optimizer is OptimizerKind.RMSPROP_LIKE:
-            batch_state = rho * state[idx] + (1.0 - rho) * g * g
+            batch_state = rho * state[rows] + (1.0 - rho) * g * g
             moved = batch - lr * g / (np.sqrt(batch_state) + _RMSPROP_EPS)
         else:
-            batch_state = rho * state[idx] + g
+            batch_state = rho * state[rows] + g
             moved = batch - lr * batch_state
         # Inverted coordinates collapse to their midpoint; degenerate is valid.
         halves = moved.reshape(-1, 2, 2)  # a view: (xmin, ymin) and (xmax, ymax) per row
         lo, hi = halves[:, :1], halves[:, 1:]
         np.copyto(halves, 0.5 * (lo + hi), where=hi < lo)
-        state[idx] = batch_state
-        params[idx] = moved
-        # idx has no repeats (batch_size <= num_pairs), and a rolled-back
-        # step ends the loop, so no stale row is ever read.
-        ious[idx] = iou_array(moved, batch_targets)
+        # rows has no repeats (batch_size <= num_pairs), and a non-finite
+        # step ends the loop, so its stale cache rows are never read.
+        moved_overlap = overlap_array(moved, batch_targets)
+        overlap[:, rows], ious[rows] = moved_overlap, _overlap_iou(moved_overlap)
+        terms[rows] = loss_terms(moved, batch_targets, huber)
 
         record = evaluate()
         if not (np.isfinite(moved).all() and math.isfinite(record[0])):
-            params[idx] = batch
             break
+        params[rows], state[rows] = moved, batch_state
         records.append(record)
 
     # A run that stopped early diverged; its trajectories repeat its last finite state.
@@ -363,7 +374,7 @@ def fit(config: FitConfig) -> FitResult:
         loss_trajectory=loss_traj,
         iou_trajectory=iou_traj,
         diverged=diverged,
-        final_corners=tuple(map(tuple, params.tolist())),
+        final_corners=tuple(map(tuple, params[back].tolist())),
     )
 
 

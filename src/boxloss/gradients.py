@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import _IEEE, Box, BoxBatch, _check_choice, _check_counts, _check_numbers
-from .boxes import _check_positive, _corner_row, _exp, _signed_overlap, iou_array, overlap_array
+from .boxes import _check_positive, _corner_row, _exp, _overlap_iou, _signed_overlap, overlap_array
 # Unused here; bench/worker.py's traced run replaces iou on this module by name.
 from .boxes import iou  # noqa: F401
 from .losses import _LOSSES, HuberParams, LossKind, _blend, _blend_weight
@@ -89,7 +89,8 @@ def grad_iou_loss(pred: Box, target: Box) -> GradVector:
     When the intersection area is zero the loss sits on its plateau and the
     gradient is exactly zero in every component.
     """
-    return GradVector(*_grad_iou_rows(_corner_row(pred), _corner_row(target))[0].tolist())
+    p, t = _corner_row(pred), _corner_row(target)
+    return GradVector(*_grad_iou_rows(p, t, overlap_array(p, t))[0].tolist())
 
 
 def _grad_huber_rows(pred: np.ndarray, target: np.ndarray, delta: float) -> np.ndarray:
@@ -101,10 +102,11 @@ def _grad_squared_rows(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     return pred - target
 
 
-def _grad_iou_rows(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+def _grad_iou_rows(pred: np.ndarray, target: np.ndarray, overlap) -> np.ndarray:
     """Quotient-rule gradient of 1 - IoU per row of two (K, 4) corner arrays,
-    with the module's tie conventions and an exact zero row on the plateau."""
-    iw, ih, inter, union = overlap_array(pred, target)
+    given their overlap_array terms, with the module's tie conventions and an
+    exact zero row on the plateau."""
+    iw, ih, inter, union = overlap
     w = pred[:, 2] - pred[:, 0]
     h = pred[:, 3] - pred[:, 1]
     # Intersection width/height respond only to the binding predicted edge.
@@ -124,18 +126,19 @@ def _grad_iou_rows(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 # Per-pair gradients of each kind as a (K, 4) array over (K, 4) predicted and
-# target corners at the blend weight lam, a scalar or a (K, 1) array. Callers
+# target corners, given the pairs' overlap_array terms, which the rows never
+# recompute, and the blend weight lam, a scalar or a (K, 1) array. Callers
 # hand every kind the lam computed from the IoUs; only the smooth kind reads
 # it, and losses._FIXED_LAM is only the lam a LossReport reports. grad_huber,
 # grad_squared and grad_iou_loss are one-row calls of these rows;
 # tests/reference.py is the independent single-pair reference they are
 # checked against bitwise.
 _PAIR_GRAD = {
-    LossKind.HUBER: lambda p, t, lam, params: _grad_huber_rows(p, t, params.delta),
-    LossKind.SQUARED: lambda p, t, lam, params: _grad_squared_rows(p, t),
-    LossKind.IOU: lambda p, t, lam, params: _grad_iou_rows(p, t),
-    LossKind.SMOOTH_IOU: lambda p, t, lam, params: _blend(
-        lam, _grad_iou_rows(p, t), _grad_huber_rows(p, t, params.delta)
+    LossKind.HUBER: lambda p, t, overlap, lam, params: _grad_huber_rows(p, t, params.delta),
+    LossKind.SQUARED: lambda p, t, overlap, lam, params: _grad_squared_rows(p, t),
+    LossKind.IOU: lambda p, t, overlap, lam, params: _grad_iou_rows(p, t, overlap),
+    LossKind.SMOOTH_IOU: lambda p, t, overlap, lam, params: _blend(
+        lam, _grad_iou_rows(p, t, overlap), _grad_huber_rows(p, t, params.delta)
     ),
 }
 
@@ -155,9 +158,10 @@ def grad_smooth_iou(
     if not 0 <= k < len(batch):
         raise IndexError(f"example index {k} out of range for batch of {len(batch)}")
     pred, target = batch.arrays()
-    lam = _blend_weight(iou_array(pred, target))
-    grad = _PAIR_GRAD[LossKind.SMOOTH_IOU](pred[k : k + 1], target[k : k + 1], lam, params)
-    return GradVector(*grad[0].tolist())
+    overlap = overlap_array(pred, target)
+    lam = _blend_weight(_overlap_iou(overlap))
+    grad = _PAIR_GRAD[LossKind.SMOOTH_IOU](pred, target, overlap, lam, params)
+    return GradVector(*grad[k].tolist())
 
 
 @dataclass(frozen=True)
@@ -240,18 +244,21 @@ def _max_errors(
     """Each kind's largest relative error over N sample pairs, given as
     (N, 4) corner arrays, or 0.0 for none; a nan error makes it nan. The
     nudged pairs are built once for every kind."""
-    # A single pair is a batch of one, so the smooth kind's lam is its IoU.
-    lam = iou_array(pred, target)
+    # One overlap for lam and every kind's gradient rows. A single pair is a
+    # batch of one, so the smooth kind's lam is its IoU.
+    overlap = overlap_array(pred, target)
+    lam = _overlap_iou(overlap)
     # Rows 8n to 8n + 7 are sample n's nudges, in _NUDGE's order; each keeps
     # its sample's frozen lam.
     nudged = (pred[:, None, :] + step * _NUDGE).reshape(-1, 4)
     targets = np.repeat(target, 8, axis=0)
-    at = (nudged, targets, iou_array(nudged, targets), np.repeat(lam, 8))
+    nudged_ious, nudged_lam = _overlap_iou(overlap_array(nudged, targets)), np.repeat(lam, 8)
 
     out = []
     for kind in kinds:
-        analytic = _PAIR_GRAD[kind](pred, target, lam[:, None], params)
-        f = _LOSSES[kind](*at, params).reshape(-1, 4, 2)
+        analytic = _PAIR_GRAD[kind](pred, target, overlap, lam[:, None], params)
+        terms, combine = _LOSSES[kind]
+        f = combine(nudged_ious, nudged_lam, terms(nudged, targets, params)).reshape(-1, 4, 2)
         numeric = (f[:, :, 0] - f[:, :, 1]) / (2.0 * step)
         size = np.abs(numeric)
         err = np.abs(analytic - numeric) / np.where(size > 1.0, size, 1.0)

@@ -68,7 +68,7 @@ def huber_scalar(z: float, params: HuberParams = HuberParams()) -> float:
 @_IEEE
 def huber_box(pred: Box, target: Box, params: HuberParams = HuberParams()) -> float:
     """Per-coordinate Huber terms summed (not averaged) over the four corners."""
-    return float(_huber_rows(_corner_row(pred), _corner_row(target), params.delta)[0])
+    return float(_huber_rows(_corner_row(pred), _corner_row(target), params)[0])
 
 
 @_IEEE
@@ -122,8 +122,8 @@ def _corner_sum(terms: np.ndarray) -> np.ndarray:
     return terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
 
 
-def _huber_rows(pred: np.ndarray, target: np.ndarray, delta: float) -> np.ndarray:
-    return _corner_sum(_huber_terms(pred - target, delta))
+def _huber_rows(pred: np.ndarray, target: np.ndarray, params: HuberParams) -> np.ndarray:
+    return _corner_sum(_huber_terms(pred - target, params.delta))
 
 
 def _squared_rows(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -131,19 +131,18 @@ def _squared_rows(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     return _corner_sum(0.5 * d * d)
 
 
-# Per-example losses of each kind as a (K,) array over (K, 4) predicted and
-# target corners, given the pairs' IoUs and the blend weight lam, a scalar or
-# a (K,) array. Callers hand every kind the lam computed from the IoUs; only
-# the smooth kind reads it. huber_box and squared_box are one-row calls of
-# these rows; tests/reference.py is the independent single-pair reference
-# they are checked against bitwise.
+# Each kind's per-example losses over (K, 4) predicted and target corners as
+# two rows: terms(p, t, params), the (K,) lam-free Huber or squared terms
+# (zeros for the IoU kind), and combine(ious, lam, terms), the losses from the
+# pairs' IoUs, the blend weight lam, a scalar or a (K,) array, and the terms.
+# Callers hand every kind the lam computed from the IoUs; only the smooth kind
+# reads it. huber_box and squared_box are one-row calls of the term rows;
+# tests/reference.py is the single-pair reference they are checked against.
 _LOSSES = {
-    LossKind.HUBER: lambda p, t, ious, lam, params: _huber_rows(p, t, params.delta),
-    LossKind.SQUARED: lambda p, t, ious, lam, params: _squared_rows(p, t),
-    LossKind.IOU: lambda p, t, ious, lam, params: 1.0 - ious,
-    LossKind.SMOOTH_IOU: lambda p, t, ious, lam, params: _blend(
-        lam, 1.0 - ious, _huber_rows(p, t, params.delta)
-    ),
+    LossKind.HUBER: (_huber_rows, lambda ious, lam, terms: terms),
+    LossKind.SQUARED: (lambda p, t, params: _squared_rows(p, t), lambda ious, lam, terms: terms),
+    LossKind.IOU: (lambda p, t, params: np.zeros(len(p)), lambda ious, lam, terms: 1.0 - ious),
+    LossKind.SMOOTH_IOU: (_huber_rows, lambda ious, lam, terms: _blend(lam, 1.0 - ious, terms)),
 }
 
 # The lam LossReport reports for the kinds that do not blend; no row reads it.
@@ -170,7 +169,8 @@ def loss_batch(
     pred, target = batch.arrays()
     ious = iou_array(pred, target)
     lam = _blend_weight(ious) if kind is LossKind.SMOOTH_IOU else _FIXED_LAM[kind]
-    losses = _LOSSES[kind](pred, target, ious, lam, params)
+    terms, combine = _LOSSES[kind]
+    losses = combine(ious, lam, terms(pred, target, params))
     return LossReport(
         per_example_loss=tuple(losses.tolist()),
         per_example_iou=tuple(ious.tolist()),

@@ -106,7 +106,8 @@ def sweep_mismatch(config: SweepConfig = SweepConfig(), scale: float = 1.0) -> l
     v = iou_array(pred, target)
     # Each row is a batch of one, so every kind's lam is the row's IoU. The
     # loss columns follow LossKind's order: huber, squared, iou, smooth_iou.
-    losses = [_LOSSES[kind](pred, target, v, v, params).tolist() for kind in LossKind]
+    rows = (_LOSSES[kind] for kind in LossKind)
+    losses = [combine(v, v, terms(pred, target, params)).tolist() for terms, combine in rows]
     return [SweepRow(*row) for row in zip(xs.tolist(), *losses, v.tolist())]
 
 

@@ -13,10 +13,11 @@ with `math.exp` and the scalar `iou`, on the same draws as the library's
 array code. `tests/test_draws.py` checks that `generate_dataset` gives the
 same boxes bit for bit.
 
-`fit`'s loop as it was before its steps recomputed only the moved IoU rows:
-every state re-evaluated over the full dataset, on the `Box`-built dataset of
-the library's `generate_dataset`, with every mean an explicit left-to-right
-`functools.reduce`. `tests/test_fitting.py` checks that the library's `fit`
+`fit`'s loop as it was before it kept its rows in the shuffled order and
+cached their overlap, IoU and loss terms: each minibatch gathered by index,
+and every state re-evaluated over the full dataset in dataset order, on the
+`Box`-built dataset of the library's `generate_dataset`, with every mean an
+explicit left-to-right `functools.reduce`. `tests/test_fitting.py` checks that the library's `fit`
 gives the same `FitResult` bit for bit.
 """
 
@@ -39,7 +40,7 @@ from boxloss import (
     intersection_dims,
     iou,
 )
-from boxloss.boxes import _IEEE, iou_array
+from boxloss.boxes import _IEEE, iou_array, overlap_array
 from boxloss.fitting import _MAX_ATTEMPTS, _RMSPROP_EPS, OptimizerKind
 from boxloss.gradients import _PAIR_GRAD
 from boxloss.losses import _LOSSES
@@ -187,7 +188,7 @@ def fit(config: FitConfig) -> FitResult:
     params, targets = generate_dataset(config).arrays()
     state = np.zeros_like(params)
     huber = HuberParams(config.delta)
-    grad, losses = _PAIR_GRAD[config.loss_kind], _LOSSES[config.loss_kind]
+    grad, (loss_terms, combine) = _PAIR_GRAD[config.loss_kind], _LOSSES[config.loss_kind]
     lr = config.learning_rate
     rho = config.momentum_or_decay
     k = config.num_pairs
@@ -198,7 +199,7 @@ def fit(config: FitConfig) -> FitResult:
     def evaluate() -> tuple[np.ndarray, float, float]:
         ious = iou_array(params, targets)
         mean_iou = _mean(ious)
-        loss = losses(params, targets, ious, mean_iou, huber)
+        loss = combine(ious, mean_iou, loss_terms(params, targets, huber))
         return ious, _mean(loss), mean_iou
 
     ious, loss, mean_iou = evaluate()
@@ -211,7 +212,8 @@ def fit(config: FitConfig) -> FitResult:
         cursor = (cursor + config.batch_size) % k
 
         batch, batch_targets = params[idx], targets[idx]
-        g = grad(batch, batch_targets, _mean(ious[idx]), huber)
+        overlap = overlap_array(batch, batch_targets)
+        g = grad(batch, batch_targets, overlap, _mean(ious[idx]), huber)
         if config.optimizer is OptimizerKind.RMSPROP_LIKE:
             batch_state = rho * state[idx] + (1.0 - rho) * g * g
             moved = batch - lr * g / (np.sqrt(batch_state) + _RMSPROP_EPS)

@@ -43,7 +43,7 @@ from boxloss import (
     squared_box,
     sweep_mismatch,
 )
-from boxloss.boxes import _IEEE, iou_array
+from boxloss.boxes import _IEEE, iou_array, overlap_array
 from boxloss.gradients import _PAIR_GRAD
 from boxloss.losses import _LOSSES
 
@@ -95,6 +95,12 @@ def _mean_iou(pairs) -> float:
     return sum(iou(p, t) for p, t in pairs) / len(pairs)
 
 
+def _loss_rows(kind, pred, target, ious, lam, params):
+    """A kind's losses: its lam-free terms, then its combine with the IoUs."""
+    terms, combine = _LOSSES[kind]
+    return combine(ious, lam, terms(pred, target, params))
+
+
 @given(_BATCH)
 @_IEEE
 def test_iou_rows_match_scalar(pairs):
@@ -127,7 +133,7 @@ def test_loss_rows_match_scalar(pairs, delta):
     pred, target = _arrays(pairs)
     ious = iou_array(pred, target)
     for kind, rows in expected.items():
-        kernel = _LOSSES[kind](pred, target, ious, lam, params).tolist()
+        kernel = _loss_rows(kind, pred, target, ious, lam, params).tolist()
         assert _bits(kernel) == _bits(rows), kind
 
     views = {
@@ -176,7 +182,7 @@ def test_gradient_rows_match_scalar(pairs, delta):
     }
     pred, target = _arrays(pairs)
     for kind, single in expected.items():
-        rows = _PAIR_GRAD[kind](pred, target, lam, params)
+        rows = _PAIR_GRAD[kind](pred, target, overlap_array(pred, target), lam, params)
         assert rows.shape == (len(pairs), 4)
         for row, (p, t) in zip(rows.tolist(), pairs):
             assert _bits(row) == _bits(single(p, t)), kind
@@ -202,11 +208,12 @@ def test_all_disjoint_batch_reproduces_huber_rows(pairs, delta):
     ious = iou_array(pred, target)
     lam = sum(ious.tolist()) / len(pairs)
     assert lam == 0.0
-    smooth = _LOSSES[LossKind.SMOOTH_IOU](pred, target, ious, lam, params)
-    huber = _LOSSES[LossKind.HUBER](pred, target, ious, lam, params)
+    smooth = _loss_rows(LossKind.SMOOTH_IOU, pred, target, ious, lam, params)
+    huber = _loss_rows(LossKind.HUBER, pred, target, ious, lam, params)
     assert _bits(smooth.tolist()) == _bits(huber.tolist())
-    smooth = _PAIR_GRAD[LossKind.SMOOTH_IOU](pred, target, lam, params)
-    huber = _PAIR_GRAD[LossKind.HUBER](pred, target, lam, params)
+    overlap = overlap_array(pred, target)
+    smooth = _PAIR_GRAD[LossKind.SMOOTH_IOU](pred, target, overlap, lam, params)
+    huber = _PAIR_GRAD[LossKind.HUBER](pred, target, overlap, lam, params)
     assert _bits(smooth.ravel().tolist()) == _bits(huber.ravel().tolist())
 
 
@@ -216,7 +223,7 @@ def test_all_identical_batch_gives_exact_zeros(boxes, delta):
     ious = iou_array(pred, target)
     lam = sum(ious.tolist()) / len(boxes)
     assert lam == 1.0
-    losses = _LOSSES[LossKind.SMOOTH_IOU](pred, target, ious, lam, HuberParams(delta))
+    losses = _loss_rows(LossKind.SMOOTH_IOU, pred, target, ious, lam, HuberParams(delta))
     assert _bits(losses.tolist()) == _bits([0.0] * len(boxes))
 
 

@@ -217,7 +217,7 @@ class TestGradcheckCommand:
         assert "FAIL" in capsys.readouterr().out
 
     def test_a_nan_gradient_fails(self, monkeypatch, capsys):
-        nan_rows = lambda p, t, lam, params: np.full_like(p, math.nan)
+        nan_rows = lambda p, t, overlap, lam, params: np.full_like(p, math.nan)
         monkeypatch.setitem(gradients._PAIR_GRAD, gradients.LossKind.HUBER, nan_rows)
         assert main(["gradcheck", "--loss", "huber", "--samples", "50"]) == 3
         out = capsys.readouterr().out
@@ -484,6 +484,28 @@ class TestFitCommand:
         )
         assert line.endswith(") rounds to zero width or height")
         assert err.splitlines()[-1] == line
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_target_side_off_the_size_range_exits_2(self, tmp_path, capsys, monkeypatch):
+        # Near 1e16 the centers are 2.0 apart, so a side drawn in [5, 20] can
+        # round to 4.0: the run would fit sizes it was not asked for.
+        monkeypatch.delenv("BOXLOSS_SEED", raising=False)
+        out = tmp_path / "run"
+        argv = [
+            "fit", "--out", str(out), "--frame", "0,0,1e16,1e16",
+            "--num-pairs", "200", "--batch-size", "4", "--steps", "2",
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert [line for line in err.splitlines() if "error" in line] == [
+            "boxloss fit: error: frame (0.0, 0.0, 1e+16, 1e+16) is too large for target "
+            "sizes [5.0, 20.0]: a target drawn at center (9466739570025250.0, "
+            "4262404088495990.0) rounds to a 4.0 x 14.0 box"
+        ]
         assert "Traceback" not in err
         assert not out.exists()
 

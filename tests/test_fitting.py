@@ -26,7 +26,7 @@ from boxloss import (
     grad_iou_loss,
     iou,
 )
-from boxloss import fitting
+from boxloss import fitting, gradients
 from boxloss.boxes import iou_array
 
 
@@ -128,18 +128,24 @@ class TestGenerateDataset:
             generate_dataset(config)
 
     @pytest.mark.parametrize(
-        "frame",
-        [Box(0.0, 0.0, 1e308, 1e308), Box(0.0, 0.0, 100.0, 1e300)],
-        ids=["both_axes", "height_only"],
+        "frame, num_pairs, size",
+        [
+            (Box(0.0, 0.0, 1e308, 1e308), 4, "zero width or height"),
+            (Box(0.0, 0.0, 100.0, 1e300), 4, "zero width or height"),
+            (Box(0.0, 0.0, 1e16, 1e16), 200, "a 4.0 x 14.0 box"),
+        ],
+        ids=["both_axes", "height_only", "sides_off_the_range"],
     )
-    def test_target_rounded_to_zero_size_names_the_frame(self, frame):
+    def test_target_rounded_to_zero_size_names_the_frame(self, frame, num_pairs, size):
         # Centers far from the origin are spaced wider than the target sizes,
-        # so cx - w/2 and cx + w/2 round to the same float.
-        config = FitConfig(num_pairs=4, batch_size=4, frame=frame)
+        # so cx - w/2 and cx + w/2 round to the same float. Near 1e16 they are
+        # 2.0 apart, so of 400 sides in [5, 20] four round to 4.0.
+        config = FitConfig(num_pairs=num_pairs, batch_size=4, frame=frame)
         message = f"frame {frame.corners()} is too large for target sizes [5.0, 20.0]"
         for run in (generate_dataset, fit):
-            with pytest.raises(ValueError, match=re.escape(message)):
+            with pytest.raises(ValueError, match=re.escape(message)) as exc:
                 run(config)
+            assert str(exc.value).endswith(f") rounds to {size}")
 
     def test_infeasible_raises(self):
         # Zero perturbation can never produce a disjoint prediction.
@@ -369,11 +375,14 @@ class TestFit:
         assert all(math.isfinite(v) for v in result.loss_trajectory)
 
     def test_matches_the_full_re_evaluation_loop_bitwise(self):
-        # Each step recomputes only its minibatch's IoU rows; the reference
-        # re-evaluates the whole dataset every step. The large learning
-        # rates make runs diverge, so the rolled-back step's stale rows are
-        # covered too. With 20 pairs, batch size 7 is the one whose
-        # minibatches straddle the end of the shuffled order.
+        # Each step slices its minibatch from the shuffled rows and recomputes
+        # only their cached terms; the reference gathers each minibatch and
+        # re-evaluates the whole dataset in dataset order every step. The
+        # large learning rates make runs diverge, so the unwritten step's
+        # stale rows are covered too. With 20 pairs, batch size 7 is the one
+        # whose minibatches straddle the end of the shuffled order. The last
+        # two configs are the benchmark's fit_wide run, whose last step wraps,
+        # and one run of criterion 7.
         def bits(result):
             floats = [
                 result.mean_iou_initial,
@@ -388,8 +397,8 @@ class TestFit:
         grid = itertools.product(
             list(LossKind), list(OptimizerKind), (4, 7, 20), (0.05, 5.0, 1e308), (0, 1)
         )
-        for kind, optimizer, batch_size, lr, seed in grid:
-            config = FitConfig(
+        configs = [
+            FitConfig(
                 num_pairs=20,
                 steps=40,
                 loss_kind=kind,
@@ -398,10 +407,43 @@ class TestFit:
                 learning_rate=lr,
                 seed=seed,
             )
+            for kind, optimizer, batch_size, lr, seed in grid
+        ]
+        configs += [
+            FitConfig(
+                num_pairs=1000, batch_size=16, steps=63, regime="disjoint",
+                translation_sigma=1.5, loss_kind="smooth_iou", seed=3,
+            ),
+            FitConfig(
+                num_pairs=50, batch_size=50, steps=500, optimizer="plain_gd",
+                momentum_or_decay=0.9, learning_rate=0.05, seed=3,
+            ),
+        ]
+        for config in configs:
             result = fit(config)
             assert bits(result) == bits(reference.fit(config)), config
             diverged += result.diverged
         assert diverged > 0
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_overlap_runs_once_per_state(self, monkeypatch, kind):
+        # Once over every row for the initial state, then once per step over
+        # the rows it moved; the gradient rows read those terms and compute
+        # none of their own. With batches of 16 over 50 rows, steps 3 and 6,
+        # counting from 0, wrap past the end.
+        calls, overlap_array = [], fitting.overlap_array
+
+        def counted(pred, target):
+            calls.append(len(pred))
+            return overlap_array(pred, target)
+
+        def refused(pred, target):
+            raise AssertionError("a gradient row computed its own overlap")
+
+        monkeypatch.setattr(fitting, "overlap_array", counted)
+        monkeypatch.setattr(gradients, "overlap_array", refused)
+        fit(FitConfig(num_pairs=50, batch_size=16, steps=7, loss_kind=kind))
+        assert calls == [50] + [16] * 7
 
 
 def _count_boxes(monkeypatch) -> list[None]:

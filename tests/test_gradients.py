@@ -385,7 +385,7 @@ class TestFiniteDiffCheck:
         assert finite_diff_check(LossKind.SMOOTH_IOU, config, tolerance=below).passed is False
 
     def test_a_nan_error_fails(self, monkeypatch):
-        nan_rows = lambda p, t, lam, params: np.full_like(p, math.nan)
+        nan_rows = lambda p, t, overlap, lam, params: np.full_like(p, math.nan)
         monkeypatch.setitem(gradients._PAIR_GRAD, LossKind.HUBER, nan_rows)
         result = finite_diff_check(LossKind.HUBER, GradCheckConfig(num_samples=50, seed=0))
         assert result.passed is False
@@ -396,8 +396,8 @@ class TestFiniteDiffCheck:
         # taken across chunks that way would report the first chunk's error.
         huber, calls = gradients._PAIR_GRAD[LossKind.HUBER], []
 
-        def nan_after_the_first_chunk(p, t, lam, params):
-            grad = huber(p, t, lam, params)
+        def nan_after_the_first_chunk(p, t, overlap, lam, params):
+            grad = huber(p, t, overlap, lam, params)
             calls.append(len(p))
             if len(calls) > 1:
                 grad[:1, 0] = math.nan
