@@ -17,8 +17,8 @@ same boxes bit for bit.
 cached their overlap, IoU and loss terms: each minibatch gathered by index,
 and every state re-evaluated over the full dataset in dataset order, on the
 `Box`-built dataset of the library's `generate_dataset`, with every mean an
-explicit left-to-right `functools.reduce`. `tests/test_fitting.py` checks that the library's `fit`
-gives the same `FitResult` bit for bit.
+explicit left-to-right `functools.reduce`. `tests/test_fitting.py` checks
+that the library's `fit` gives the same `FitResult` bit for bit.
 """
 
 import functools
