@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import _IEEE, Box, BoxBatch, _check_choice, _check_counts, _check_numbers
-from .boxes import _check_positive, _corner_row, _exp, _overlap_iou, _signed_overlap, overlap_array
+from .boxes import _IEEE, Box, BoxBatch, _check_choice, _check_counts, _check_numbers, _corner_row
+from .boxes import _check_positive, _exp, _overlap_iou, _signed_overlap, iou_array, overlap_array
 # Unused here; bench/worker.py's traced run replaces iou on this module by name.
 from .boxes import iou  # noqa: F401
 from .losses import _LOSSES, HuberParams, LossKind, _blend, _blend_weight
@@ -252,7 +252,7 @@ def _max_errors(
     # its sample's frozen lam.
     nudged = (pred[:, None, :] + step * _NUDGE).reshape(-1, 4)
     targets = np.repeat(target, 8, axis=0)
-    nudged_ious, nudged_lam = _overlap_iou(overlap_array(nudged, targets)), np.repeat(lam, 8)
+    nudged_ious, nudged_lam = iou_array(nudged, targets), np.repeat(lam, 8)
 
     out = []
     for kind in kinds:

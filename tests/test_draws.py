@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from boxloss import REGIMES, Box, FitConfig, GradCheckConfig, LossKind, OverlapRegime
-from boxloss import generate_dataset, gradients
+from boxloss import fitting, generate_dataset, gradients
 from boxloss.boxes import iou_array
 from boxloss.fitting import _draw_pairs
 
@@ -90,7 +90,7 @@ def test_uniform_is_numpys(seed):
     config = replace(_WIDE, seed=seed)
     w, h, cx, cy = _numpy_targets(config)
     want = np.stack((cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2), axis=1)
-    _, targets, _ = _draw_pairs(config)
+    _, targets = _draw_pairs(config)
     assert _hex(targets.ravel()) == _hex(want.ravel())
 
 
@@ -107,7 +107,7 @@ def test_normal_is_numpys(seed):
     # The size jitters' columns of this call go unused.
     scales = np.stack((w, h, sigma * w, sigma * h), axis=1)
     shifts = _spawned(seed)[1].normal(0.0, scales)
-    predicted, _, _ = _draw_pairs(config)
+    predicted, _ = _draw_pairs(config)
     want = _perturbed(config, factors[:, :2], shifts[:, 2:])
     assert _hex(predicted.ravel()) == _hex(want.ravel())
 
@@ -123,7 +123,7 @@ def test_size_factors_are_math_exp(seed):
     factors = np.reshape([math.exp(v) for v in jitter], (-1, 2))
     w, h, _, _ = _numpy_targets(config)
     shifts = config.translation_sigma * np.stack((w, h), axis=1) * z[:, 2:]
-    predicted, _, _ = _draw_pairs(config)
+    predicted, _ = _draw_pairs(config)
     assert _hex(predicted.ravel()) == _hex(_perturbed(config, factors, shifts).ravel())
 
 
@@ -145,8 +145,8 @@ def test_uniform_refuses_what_numpy_refuses(lo, hi):
 @pytest.mark.parametrize("regime", list(OverlapRegime))
 def test_every_pair_meets_its_regime(regime, seed):
     config = replace(_WIDE, num_pairs=500, regime=regime, seed=seed)
-    predicted, targets, ious = _draw_pairs(config)
-    assert ious.tobytes() == iou_array(predicted, targets).tobytes()
+    predicted, targets = _draw_pairs(config)
+    ious = iou_array(predicted, targets)
     if regime is OverlapRegime.DISJOINT:
         assert (ious == 0.0).all()
     elif regime is OverlapRegime.OVERLAPPING:
@@ -163,6 +163,39 @@ def test_every_pair_meets_its_regime(regime, seed):
     assert (sides <= config.target_size_max + slack).all()
 
 
+# Each regime's rule, as the draw's rejection rounds must apply it.
+_KEPT = {
+    OverlapRegime.OVERLAPPING: lambda ious: ious > 0.0,
+    OverlapRegime.DISJOINT: lambda ious: ious == 0.0,
+    OverlapRegime.MIXED: lambda ious: np.full(ious.shape, True),
+}
+
+
+@pytest.mark.parametrize("regime", list(OverlapRegime))
+def test_one_iou_call_per_rejection_round(monkeypatch, regime):
+    """Each round calls fitting.iou once, on the pairs still pending: all K
+    pairs first, then those the previous round rejected. The mixed regime
+    keeps every pair in its first round, so it makes exactly one call, which
+    bench/worker.py's traced run counts by replacing this name."""
+    rows, pending = [], []
+
+    def counted(a, b):
+        ious = iou_array(a, b)
+        rows.append(len(a))
+        pending.append(int((~_KEPT[regime](ious)).sum()))
+        return ious
+
+    monkeypatch.setattr(fitting, "iou", counted)
+    config = replace(_WIDE, num_pairs=500, regime=regime)
+    _draw_pairs(config)
+    assert rows[0] == config.num_pairs
+    assert rows[1:] == pending[:-1] and pending[-1] == 0
+    if regime is OverlapRegime.MIXED:
+        assert rows == [config.num_pairs]
+    else:
+        assert len(rows) > 1
+
+
 def test_mixed_pairs_follow_the_perturbation_law():
     """Over 20,000 mixed pairs, 40,000 values each, the log size factors
     have mean 0 and standard deviation scale_sigma, and the center shifts in
@@ -170,7 +203,7 @@ def test_mixed_pairs_follow_the_perturbation_law():
     translation_sigma. Tolerance: five standard errors, sigma * 5 / sqrt(n)
     for the mean and 5 / sqrt(2n) relative (1.8 %) for the deviation."""
     config = FitConfig(num_pairs=20_000, batch_size=1, scale_sigma=0.2, translation_sigma=0.3)
-    predicted, targets, _ = _draw_pairs(config)
+    predicted, targets = _draw_pairs(config)
     size, p_size = targets[:, 2:] - targets[:, :2], predicted[:, 2:] - predicted[:, :2]
     shift = ((predicted[:, 2:] + predicted[:, :2]) - (targets[:, 2:] + targets[:, :2])) / 2
     for values, sigma in ((np.log(p_size / size), 0.2), (shift / size, 0.3)):

@@ -2,6 +2,8 @@
 from, and the version the command line reports; and no dead private names."""
 
 import ast
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -110,6 +112,32 @@ def test_names_the_benchmark_reads_resolve():
         if not callable(getattr(module, name, None))
     ]
     assert missing == []
+
+
+def test_the_benchmarks_traced_run_reaches_the_draw(tmp_path):
+    """bench/worker.py's instrument() replaces its traced names on each
+    module, in a child process with bench/ and src/ on its path; a tiny fit
+    through the patched CLI must then exit 0 and count boxes.iou calls, which
+    the draw makes through fitting.iou. -B keeps bench/ free of bytecode."""
+    child_code = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(_ROOT / 'bench')!r}, {str(_ROOT / 'src')!r}]\n"
+        "import spans, worker\n"
+        "tracer, api = spans.Tracer(), worker.Api()\n"
+        "worker.instrument(tracer, api)\n"
+        "code, _ = api.cli(['fit', '--out', 'run', '--num-pairs', '6', '--batch-size', '3',"
+        " '--steps', '2'])\n"
+        "print(code, tracer.calls('boxes.iou'))\n"
+    )
+    bench = sorted((_ROOT / "bench").iterdir())
+    child = subprocess.run(
+        [sys.executable, "-B", "-c", child_code],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    code, iou_calls = map(int, child.stdout.split())
+    assert code == 0 and iou_calls > 0
+    assert sorted((_ROOT / "bench").iterdir()) == bench
 
 
 def test_version_flag_prints_package_version(capsys):
