@@ -220,41 +220,40 @@ def to_yxhw(b: Box) -> BoxYXHW:
     return BoxYXHW(y1=b.ymin, x1=b.xmin, h=b.ymax - b.ymin, w=b.xmax - b.xmin)
 
 
+@_IEEE
 def area(b: Box) -> float:
-    return (b.xmax - b.xmin) * (b.ymax - b.ymin)
+    """Width times height: the one-row call of the area rows."""
+    return float(_area_rows(_corner_row(b))[0])
 
 
+@_IEEE
 def intersection_dims(a: Box, b: Box) -> tuple[float, float]:
-    """Overlap width and height, clamped at zero."""
-    iw = min(a.xmax, b.xmax) - max(a.xmin, b.xmin)
-    ih = min(a.ymax, b.ymax) - max(a.ymin, b.ymin)
-    return (max(0.0, iw), max(0.0, ih))
+    """Overlap width and height, clamped at zero: overlap_array's first two
+    terms for the one pair."""
+    iw, ih, _, _ = overlap_array(_corner_row(a), _corner_row(b))
+    return float(iw[0]), float(ih[0])
 
 
+@_IEEE
 def iou(a: Box, b: Box) -> float:
-    """Intersection over union, clamped to [0, 1]; of two (K, 4) corner
-    arrays, row by row through iou_array, under the caller's _IEEE.
+    """Intersection over union, clamped to [0, 1]: the one-row call of
+    iou_array; of two (K, 4) corner arrays, iou_array's rows.
 
     Every subexpression is symmetric in (a, b), so iou(a, b) == iou(b, a)
     exactly. Two degenerate boxes give 0 by convention.
     """
     if isinstance(a, np.ndarray):
         return iou_array(a, b)
-    iw, ih = intersection_dims(a, b)
-    inter = iw * ih
-    union = area(a) + area(b) - inter
-    if union <= 0.0:
-        return 0.0
-    return min(1.0, max(0.0, inter / union))
+    return float(iou_array(_corner_row(a), _corner_row(b))[0])
 
 
 def overlap_array(
     pred: np.ndarray, target: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise (overlap width, overlap height, intersection, union) of two
-    (K, 4) corner arrays, each bitwise equal to the scalar code's value."""
+    (K, 4) corner arrays: the one place the overlap is clamped at zero."""
     iw, ih = _signed_overlap(pred, target)
-    # max(0.0, x) in Python keeps 0.0 for x = -0.0, which np.maximum may not.
+    # A -0.0 overlap clamps to +0.0; np.maximum keeps -0.0 in one argument order.
     iw = np.where(iw > 0.0, iw, 0.0)
     ih = np.where(ih > 0.0, ih, 0.0)
     inter = iw * ih
@@ -280,7 +279,7 @@ def _corner_row(b: Box) -> np.ndarray:
 
 
 def iou_array(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Row-wise iou of two (K, 4) corner arrays, bitwise equal to iou per pair."""
+    """Row-wise IoU of two (K, 4) corner arrays; iou is its one-row call."""
     return _overlap_iou(overlap_array(pred, target))
 
 
@@ -289,7 +288,8 @@ def _overlap_iou(overlap) -> np.ndarray:
     rows of a (4, K) array."""
     _, _, inter, union = overlap
     ratio = inter / union
-    # iou's guards: union <= 0 gives 0, and max(0.0, ratio) is 0 for a nan ratio.
+    # The one place the IoU rules are written: a union <= 0 or a nan ratio
+    # gives 0, and the ratio is clamped to [0, 1].
     return np.where((union > 0.0) & (ratio > 0.0), np.minimum(ratio, 1.0), 0.0)
 
 

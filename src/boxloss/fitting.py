@@ -21,7 +21,7 @@ import numpy as np
 from .boxes import _IEEE, _check_boxes, _check_choice, _check_corners, _check_counts, _check_numbers
 from .boxes import Box, BoxBatch, _check_positive, _exp, _overlap_iou, iou, iou_array, overlap_array
 from .gradients import _PAIR_GRAD
-from .losses import _LOSSES, HuberParams, LossKind, _blend_weight, _mean
+from .losses import _LOSSES, HuberParams, LossKind, _mean
 
 # Unused here: fit runs on the array rows of _LOSSES and _PAIR_GRAD. The
 # traced run of bench/worker.py replaces these names on this module.
@@ -333,7 +333,7 @@ def fit(config: FitConfig) -> FitResult:
 
     # Every kind's combine gets the mean IoU as lam; only the smooth kind reads it.
     def evaluate() -> tuple[float, float]:
-        mean_iou = _blend_weight(ious[back])
+        mean_iou = _mean(ious[back])
         return _mean(combine(ious, mean_iou, terms)[back]), mean_iou
 
     records = [evaluate()]
@@ -341,7 +341,7 @@ def fit(config: FitConfig) -> FitResult:
         start = s * b % k
         rows = slice(start, start + b) if start + b <= k else np.arange(start, start + b) % k
         batch, batch_targets = params[rows], targets[rows]
-        g = grad(batch, batch_targets, overlap[:, rows], _blend_weight(ious[rows]), huber)
+        g = grad(batch, batch_targets, overlap[:, rows], _mean(ious[rows]), huber)
         if config.optimizer is OptimizerKind.RMSPROP_LIKE:
             batch_state = rho * state[rows] + (1.0 - rho) * g * g
             moved = batch - lr * g / (np.sqrt(batch_state) + _RMSPROP_EPS)

@@ -26,7 +26,7 @@ from .boxes import _IEEE, Box, BoxBatch, _check_choice, _check_counts, _check_nu
 from .boxes import _check_positive, _exp, _overlap_iou, _signed_overlap, iou_array, overlap_array
 # Unused here; bench/worker.py's traced run replaces iou on this module by name.
 from .boxes import iou  # noqa: F401
-from .losses import _LOSSES, HuberParams, LossKind, _blend, _blend_weight
+from .losses import _LOSSES, HuberParams, LossKind, _blend, _mean
 
 __all__ = [
     "REGIMES",
@@ -159,7 +159,7 @@ def grad_smooth_iou(
         raise IndexError(f"example index {k} out of range for batch of {len(batch)}")
     pred, target = batch.arrays()
     overlap = overlap_array(pred, target)
-    lam = _blend_weight(_overlap_iou(overlap))
+    lam = _mean(_overlap_iou(overlap))
     grad = _PAIR_GRAD[LossKind.SMOOTH_IOU](pred, target, overlap, lam, params)
     return GradVector(*grad[k].tolist())
 

@@ -112,11 +112,6 @@ def _mean(values: np.ndarray) -> float:
     return (0.0 + float(np.add.accumulate(values)[-1])) / len(values)
 
 
-def _blend_weight(ious: np.ndarray) -> float:
-    """The smooth kind's lam: the mean of the batch's IoUs, through _mean."""
-    return _mean(ious)
-
-
 def _corner_sum(terms: np.ndarray) -> np.ndarray:
     """Per-row sum of (K, 4) coordinate terms, left to right."""
     return terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
@@ -168,7 +163,7 @@ def loss_batch(
     kind = _check_choice("kind", kind, LossKind)
     pred, target = batch.arrays()
     ious = iou_array(pred, target)
-    lam = _blend_weight(ious) if kind is LossKind.SMOOTH_IOU else _FIXED_LAM[kind]
+    lam = _mean(ious) if kind is LossKind.SMOOTH_IOU else _FIXED_LAM[kind]
     terms, combine = _LOSSES[kind]
     losses = combine(ious, lam, terms(pred, target, params))
     return LossReport(

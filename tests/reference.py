@@ -1,15 +1,16 @@
 """Independent references for the library's fast paths.
 
-Single-pair losses and gradients written out in scalar Python, one
+Single-pair IoU, losses and gradients written out in scalar Python, one
 coordinate at a time, independently of the (K, 4) array kernel in `boxloss`.
 `tests/test_arrays.py` checks the kernel rows, and the public single-pair
-functions that call them, against these bitwise. The kink conventions are
-the library's: the Huber boundary |z| = delta takes the linear branch, a
-predicted edge exactly on the target's edge is binding, and the IoU-loss
-gradient is the exact zero vector where the intersection is empty.
+functions that call them, against these bitwise. The conventions are the
+library's: two degenerate boxes have IoU 0, a -0.0 overlap clamps to +0.0,
+the Huber boundary |z| = delta takes the linear branch, a predicted edge
+exactly on the target's edge is binding, and the IoU-loss gradient is the
+exact zero vector where the intersection is empty.
 
 fit's dataset, `draw_dataset`, one pair and one Python float at a time,
-with `math.exp` and the scalar `iou`, on the same draws as the library's
+with `math.exp` and this module's `iou`, on the same draws as the library's
 array code. `tests/test_draws.py` checks that `generate_dataset` gives the
 same boxes bit for bit.
 
@@ -35,15 +36,33 @@ from boxloss import (
     GradVector,
     HuberParams,
     InfeasibleDatasetError,
-    area,
     generate_dataset,
-    intersection_dims,
-    iou,
 )
 from boxloss.boxes import _IEEE, iou_array, overlap_array
 from boxloss.fitting import _MAX_ATTEMPTS, _RMSPROP_EPS, OptimizerKind
 from boxloss.gradients import _PAIR_GRAD
 from boxloss.losses import _LOSSES
+
+
+def area(b: Box) -> float:
+    return (b.xmax - b.xmin) * (b.ymax - b.ymin)
+
+
+def intersection_dims(a: Box, b: Box) -> tuple[float, float]:
+    """Overlap width and height, clamped at zero; max(0.0, -0.0) is 0.0."""
+    iw = min(a.xmax, b.xmax) - max(a.xmin, b.xmin)
+    ih = min(a.ymax, b.ymax) - max(a.ymin, b.ymin)
+    return (max(0.0, iw), max(0.0, ih))
+
+
+def iou(a: Box, b: Box) -> float:
+    """Intersection over union, clamped to [0, 1]; two degenerate boxes give 0."""
+    iw, ih = intersection_dims(a, b)
+    inter = iw * ih
+    union = area(a) + area(b) - inter
+    if union <= 0.0:
+        return 0.0
+    return min(1.0, max(0.0, inter / union))
 
 
 def huber_scalar(z: float, params: HuberParams = HuberParams()) -> float:

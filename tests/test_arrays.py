@@ -2,10 +2,10 @@
 
 Every row of the array IoU, loss and gradient kernels must equal the scalar
 reference bitwise, so +0.0 and -0.0 are told apart, and so are NaNs of
-either sign. The IoU reference is `boxloss.iou`, which stays scalar; the
-loss and gradient references are in `reference.py`. The public single-pair
-loss and gradient functions are one-row calls of the kernel, so they are
-checked against the same references, and must return Python floats. Batches
+either sign. The IoU, loss and gradient references are in `reference.py`.
+The public single-pair IoU, loss and gradient functions are one-row calls of
+the kernel, so they are checked against the same references, and must return
+Python floats. Batches
 mix pairs that overlap, pairs on the IoU plateau, pairs with a shared edge,
 zero-width boxes and identical pairs; the `@example`s pin the cases that
 tell the kernel's kink conventions and summation order apart, so a clean
@@ -31,12 +31,14 @@ from boxloss import (
     HuberParams,
     LossKind,
     SweepConfig,
+    area,
     grad_huber,
     grad_iou_loss,
     grad_smooth_iou,
     grad_squared,
     huber_box,
     huber_scalar,
+    intersection_dims,
     iou,
     iou_loss,
     loss_batch,
@@ -92,7 +94,7 @@ def _arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mean_iou(pairs) -> float:
-    return sum(iou(p, t) for p, t in pairs) / len(pairs)
+    return sum(reference.iou(p, t) for p, t in pairs) / len(pairs)
 
 
 def _loss_rows(kind, pred, target, ious, lam, params):
@@ -101,12 +103,37 @@ def _loss_rows(kind, pred, target, ious, lam, params):
     return combine(ious, lam, terms(pred, target, params))
 
 
+def _floats(values) -> list[bytes]:
+    values = list(values)
+    assert all(type(v) is float for v in values)
+    return _bits(values)
+
+
+# The first pair touches along x at -0.0 and +0.0, so its overlap width is
+# -0.0 before the clamp and must come out +0.0. The second pair's boxes are
+# both degenerate, so its union is 0 and its IoU 0 by convention. The last
+# two are one overlapping pair scaled by 2**-534, whose areas are subnormal,
+# and by 2**511, the largest power of two at which its areas' sum is finite.
+_PROBE = (Box(0.0, 0.0, 1.0, 1.0), Box(0.5, 0.25, 1.5, 1.0))
+
+
 @given(_BATCH)
+@example(pairs=[(Box(-10, 0, -0.0, 10), Box(0.0, 0, 10, 10))])
+@example(pairs=[(Box(0.0, 0.0, 0.0, 5.0), Box(-1.0, 2.0, 4.0, 2.0))])
+@example(pairs=[tuple(b.scaled(2.0**k) for b in _PROBE) for k in (-534, 511)])
 @_IEEE
 def test_iou_rows_match_scalar(pairs):
+    expected = _bits(reference.iou(p, t) for p, t in pairs)
     pred, target = _arrays(pairs)
-    assert _bits(iou_array(pred, target).tolist()) == _bits(iou(p, t) for p, t in pairs)
-    assert _bits(iou(pred, target).tolist()) == _bits(iou(p, t) for p, t in pairs)
+    assert _bits(iou_array(pred, target).tolist()) == expected
+    assert _bits(iou(pred, target).tolist()) == expected
+    assert _floats(iou(p, t) for p, t in pairs) == expected
+    dims = [intersection_dims(p, t) for p, t in pairs]
+    assert all(type(d) is tuple for d in dims)
+    expected = [d for p, t in pairs for d in reference.intersection_dims(p, t)]
+    assert _floats(d for pair in dims for d in pair) == _bits(expected)
+    boxes = [b for pair in pairs for b in pair]
+    assert _floats(area(b) for b in boxes) == _bits(reference.area(b) for b in boxes)
 
 
 # The first example's corner terms 1.125, 2**-53, 2**-53, 2**-53 sum to 1.125
@@ -124,9 +151,9 @@ def test_loss_rows_match_scalar(pairs, delta):
     expected = {
         LossKind.HUBER: [reference.huber_box(p, t, params) for p, t in pairs],
         LossKind.SQUARED: [reference.squared_box(p, t) for p, t in pairs],
-        LossKind.IOU: [iou_loss(p, t) for p, t in pairs],
+        LossKind.IOU: [1.0 - reference.iou(p, t) for p, t in pairs],
         LossKind.SMOOTH_IOU: [
-            lam * iou_loss(p, t) + (1.0 - lam) * reference.huber_box(p, t, params)
+            lam * (1.0 - reference.iou(p, t)) + (1.0 - lam) * reference.huber_box(p, t, params)
             for p, t in pairs
         ],
     }
@@ -139,6 +166,7 @@ def test_loss_rows_match_scalar(pairs, delta):
     views = {
         LossKind.HUBER: lambda p, t: huber_box(p, t, params),
         LossKind.SQUARED: squared_box,
+        LossKind.IOU: iou_loss,
     }
     for kind, view in views.items():
         values = [view(p, t) for p, t in pairs]

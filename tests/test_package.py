@@ -147,6 +147,12 @@ def test_version_flag_prints_package_version(capsys):
     assert capsys.readouterr().out == f"boxloss {boxloss.__version__}\n"
 
 
+def test_readme_lines_fit_in_80_columns():
+    lines = (_ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    long_lines = [n for n, line in enumerate(lines, 1) if len(line) > 80]
+    assert long_lines == []
+
+
 def _private_definitions(tree: ast.Module):
     """Module-level `_x` names a module assigns, or defines as a function or class."""
     for node in tree.body:
