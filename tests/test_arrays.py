@@ -5,13 +5,13 @@ reference bitwise, so +0.0 and -0.0 are told apart, and so are NaNs of
 either sign. The IoU, loss and gradient references are in `reference.py`.
 The public single-pair IoU, loss and gradient functions are one-row calls of
 the kernel, so they are checked against the same references, and must return
-Python floats. Batches
-mix pairs that overlap, pairs on the IoU plateau, pairs with a shared edge,
-zero-width boxes and identical pairs; the `@example`s pin the cases that
-tell the kernel's kink conventions and summation order apart, so a clean
-checkout tests them without a saved Hypothesis database. The kernels assume
-their caller has entered `_IEEE`, so the tests that call them directly enter
-it themselves, as the public entry points do.
+Python floats. Batches mix pairs that overlap, pairs on the IoU plateau,
+pairs with a shared edge, zero-width boxes and identical pairs; the
+`@example`s pin the cases that tell the kernel's kink conventions and
+summation order apart, so a clean checkout tests them without a saved
+Hypothesis database. The kernels assume their caller has entered `_IEEE`, so
+the tests that call them directly enter it themselves, as the public entry
+points do.
 """
 
 import struct
